@@ -533,9 +533,11 @@ func BenchmarkBigTopoTick(b *testing.B) {
 
 // BenchmarkBigTopoQuick runs one 1024-core AC grid (64 groups of 15+1,
 // 1 us period, load 0.5, 200 us of simulated time) per iteration — the
-// wall-time record for the big-topology engine, derived into
-// BENCH_sim.json as bigtopo_quick_ms (non-gating: absolute wall time is
-// host-bound).
+// wall-time record for the big-topology engine. The run ends at the
+// last completion and only changed UPDATEs land (DESIGN.md §14), so the
+// time is the workload's. benchjson -regress gates ns/op at 2x the
+// committed record; the derived bigtopo_quick_ms stays an informational
+// note.
 func BenchmarkBigTopoQuick(b *testing.B) {
 	svc := dist.Exponential{M: sim.Microsecond}
 	p := core.DefaultParams(64, 15)

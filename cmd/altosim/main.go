@@ -100,10 +100,13 @@ func main() {
 	fmt.Printf("offered     %.2f MRPS (load %.2f)\n", rate/1e6, *load)
 	fmt.Printf("SLO         %v (p99 target, 10x mean service)\n", res.SLO)
 	fmt.Printf("latency     %s\n", res.Summary)
+	fmt.Printf("simulated   %v in %d events\n", res.Duration, res.Events)
 	if kind == server.SchedAltocumulus {
 		st := res.ACStats
-		fmt.Printf("runtime     ticks=%d migrations=%d migrated=%d nacked=%d guard-skips=%d predicted=%d\n",
-			st.Ticks, st.Migrations, st.MigratedReqs, st.NackedReqs, st.GuardSkips, st.PredictedReqs)
+		// The run ends at the last completion: no idle tail in either count.
+		fmt.Printf("runtime     ticks=%d updates=%d (workload interval only)\n", st.Ticks, st.UpdatesSent)
+		fmt.Printf("migration   migrations=%d migrated=%d nacked=%d guard-skips=%d predicted=%d\n",
+			st.Migrations, st.MigratedReqs, st.NackedReqs, st.GuardSkips, st.PredictedReqs)
 		fmt.Printf("patterns    hill=%d valley=%d pairing=%d threshold=%d\n",
 			st.HillEvents, st.ValleyEvents, st.PairingEvents, st.ThresholdEvts)
 	}

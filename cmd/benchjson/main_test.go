@@ -54,27 +54,56 @@ func TestRunParsesBenchOutput(t *testing.T) {
 func TestTimeRegressions(t *testing.T) {
 	committed := record{Benchmarks: []benchmark{
 		{Name: "EngineEvents", Metrics: map[string]float64{"ns/op": 40}},
-		{Name: "Fig10Serial", Metrics: map[string]float64{"ns/op": 7e8}},
+		{Name: "BigTopoQuick", Metrics: map[string]float64{"ns/op": 1.5e8}},
+		{Name: "Fig10Serial", Metrics: map[string]float64{"ns/op": 4e8}},
+		{Name: "RequestLifecycle", Metrics: map[string]float64{"ns/op": 3e6}},
+		{Name: "LiveLoopback", Metrics: map[string]float64{"ns/op": 2e7}},
 	}}
 	clean := record{Benchmarks: []benchmark{
-		{Name: "EngineEvents", Iterations: 5e7, Metrics: map[string]float64{"ns/op": 55}}, // < 1.5x: noise band
-		{Name: "Fig10Serial", Iterations: 5e7, Metrics: map[string]float64{"ns/op": 3e9}}, // not gated
+		{Name: "EngineEvents", Iterations: 5e7, Metrics: map[string]float64{"ns/op": 55}},      // < 1.5x: noise band
+		{Name: "BigTopoQuick", Iterations: 8, Metrics: map[string]float64{"ns/op": 2.9e8}},     // < 2x: a slow box
+		{Name: "Fig10Serial", Iterations: 3, Metrics: map[string]float64{"ns/op": 7.9e8}},      // < 2x
+		{Name: "RequestLifecycle", Iterations: 400, Metrics: map[string]float64{"ns/op": 5e6}}, // < 2x
+		{Name: "LiveLoopback", Iterations: 64, Metrics: map[string]float64{"ns/op": 9e7}},      // not gated
 	}}
 	if regs := timeRegressions(committed, clean); len(regs) != 0 {
 		t.Fatalf("clean run flagged: %v", regs)
 	}
-	slow := record{Benchmarks: []benchmark{
-		{Name: "EngineEvents", Iterations: 5e7, Metrics: map[string]float64{"ns/op": 70}}, // > 1.5x: regression
+	// Each gate fires on its own factor: 1.6x trips the event loop but
+	// none of the whole-run benchmarks.
+	mixed := record{Benchmarks: []benchmark{
+		{Name: "EngineEvents", Iterations: 5e7, Metrics: map[string]float64{"ns/op": 64}},
+		{Name: "BigTopoQuick", Iterations: 8, Metrics: map[string]float64{"ns/op": 2.4e8}},
+		{Name: "Fig10Serial", Iterations: 3, Metrics: map[string]float64{"ns/op": 6.4e8}},
+		{Name: "RequestLifecycle", Iterations: 400, Metrics: map[string]float64{"ns/op": 4.8e6}},
 	}}
-	regs := timeRegressions(committed, slow)
-	if len(regs) != 1 || !strings.Contains(regs[0], "EngineEvents") {
-		t.Fatalf("want the EngineEvents time regression, got %v", regs)
+	regs := timeRegressions(committed, mixed)
+	if len(regs) != 1 || !strings.Contains(regs[0], "EngineEvents") || !strings.Contains(regs[0], "1.5x") {
+		t.Fatalf("want only the EngineEvents time regression at 1.6x, got %v", regs)
+	}
+	// The PR 9-10 slip: whole-run numbers several times the record, the
+	// event loop unchanged. One iteration is a whole run, so it counts.
+	slow := record{Benchmarks: []benchmark{
+		{Name: "EngineEvents", Iterations: 5e7, Metrics: map[string]float64{"ns/op": 41}},
+		{Name: "BigTopoQuick", Iterations: 1, Metrics: map[string]float64{"ns/op": 3.3e9}},
+		{Name: "Fig10Serial", Iterations: 2, Metrics: map[string]float64{"ns/op": 8.1e8}},
+		{Name: "RequestLifecycle", Iterations: 300, Metrics: map[string]float64{"ns/op": 6.1e6}},
+	}}
+	regs = timeRegressions(committed, slow)
+	if len(regs) != 3 {
+		t.Fatalf("want three whole-run time regressions, got %v", regs)
+	}
+	for i, name := range []string{"BigTopoQuick", "Fig10Serial", "RequestLifecycle"} {
+		if !strings.Contains(regs[i], name) || !strings.Contains(regs[i], "(> 2x)") {
+			t.Fatalf("regression %d = %q, want %s past 2x", i, regs[i], name)
+		}
 	}
 	// A gated benchmark with no committed baseline is skipped.
 	if regs := timeRegressions(record{}, slow); len(regs) != 0 {
 		t.Fatalf("baseline-free benchmark gated: %v", regs)
 	}
-	// A short -benchtime Nx smoke is warm-up, not steady state: skipped.
+	// A short -benchtime Nx smoke of the nanosecond loop is warm-up, not
+	// steady state: skipped.
 	short := record{Benchmarks: []benchmark{
 		{Name: "EngineEvents", Iterations: 10000, Metrics: map[string]float64{"ns/op": 200}},
 	}}

@@ -46,6 +46,12 @@ type group struct {
 	view []int
 	rank *policy.RankTracker
 
+	// sent is the NetRX length this manager last broadcast, i.e. what
+	// every peer's view entry for it holds or is about to (views start at
+	// 0, as sent does). A tick whose length equals it has nothing to land
+	// (see tick).
+	sent int
+
 	mr   *hwmsg.MRFile
 	send *hwmsg.FIFO
 	recv *hwmsg.FIFO
@@ -469,8 +475,18 @@ func (s *Scheduler) tick(g *group) {
 	// this group's class peers (all managers when homogeneous). Each
 	// UPDATE rides an arg-event (destination group + packed sender peer
 	// index/qlen) so the broadcast allocates nothing.
+	//
+	// Every message is charged (link or manager occupancy, UpdatesSent),
+	// but a landing is an event only when it can change the peer's view:
+	// when qlen differs from the length last broadcast. That is exact
+	// because a peer's entry for g is written by g's landings alone, g's
+	// landings at one peer arrive in send order (source-link and
+	// manager-core occupancy only move forward, ties fire in schedule
+	// order), and rank.Set drops an equal write anyway (DESIGN.md §14).
 	qlen := g.netrx.Len()
 	g.rank.Set(g.peerIdx, qlen)
+	lands := qlen != g.sent
+	g.sent = qlen
 	for _, pid := range g.peers {
 		h := s.groups[pid]
 		if h.id == g.id {
@@ -478,7 +494,9 @@ func (s *Scheduler) tick(g *group) {
 		}
 		_, arrive := s.msgSend(g, h.tile, hwmsg.UpdateWireSize)
 		s.Stats.UpdatesSent++
-		s.eng.AtArg(now+arrive, updateLand, h, int64(g.peerIdx)<<32|int64(qlen))
+		if lands {
+			s.eng.AtArg(now+arrive, updateLand, h, int64(g.peerIdx)<<32|int64(qlen))
+		}
 	}
 
 	// Threshold from the analytical model under the measured load (or

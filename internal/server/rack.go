@@ -300,7 +300,9 @@ func RunRackWith(sc *Scratch, rc RackConfig, cfg Config, wl Workload) (*RackResu
 	nDone := 0
 	var arenaErr error
 	complete := func(srv int, r *rpcproto.Request) {
-		nDone++
+		if nDone++; nDone == wl.N {
+			eng.Stop() // as in RunWith: the last completion ends the run
+		}
 		g.outstanding[srv]--
 		rr.Completed[srv]++
 		if g.rchk != nil {
@@ -357,9 +359,6 @@ func RunRackWith(sc *Scratch, rc RackConfig, cfg Config, wl Workload) (*RackResu
 	g.deliverFn = g.deliver
 	if rc.SampleEvery > 0 {
 		g.sampleFn = func(any, int64) {
-			if nDone >= wl.N {
-				return
-			}
 			g.disp.ObserveAll(g.outstanding, policy.Duration(eng.Now()))
 			eng.AfterArg(rc.SampleEvery, g.sampleFn, nil, 0)
 		}
@@ -367,15 +366,10 @@ func RunRackWith(sc *Scratch, rc RackConfig, cfg Config, wl Workload) (*RackResu
 	}
 	g.schedule(0, 0)
 
-	const chunk = 5 * sim.Millisecond
-	const hardCap = 100 * sim.Second
-	for nDone < wl.N {
-		if eng.Now() > hardCap {
-			return nil, fmt.Errorf("server: %s did not finish %d requests within %v (done %d)",
-				res.Name, wl.N, hardCap, nDone)
-		}
-		eng.Run(eng.Now() + chunk)
+	if err := runToLastDone(eng, res.Name, wl.N, &nDone); err != nil {
+		return nil, err
 	}
+	res.Events = eng.Processed()
 	if arenaErr != nil {
 		return nil, arenaErr
 	}
@@ -387,14 +381,8 @@ func RunRackWith(sc *Scratch, rc RackConfig, cfg Config, wl Workload) (*RackResu
 	var busy float64
 	var nCores int
 	for s, sch := range g.scheds {
-		if ac, ok := sch.(*core.Scheduler); ok {
-			ac.Stop()
-			if s == 0 {
-				res.ACStats = ac.Stats
-			}
-		}
-		if rp, ok := sch.(*sched.RSSPlus); ok {
-			rp.Stop()
+		if ac, ok := sch.(*core.Scheduler); ok && s == 0 {
+			res.ACStats = ac.Stats
 		}
 		if cs, ok := sch.(interface{ Cores() []*exec.Core }); ok {
 			for _, c := range cs.Cores() {

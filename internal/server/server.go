@@ -189,8 +189,12 @@ type Result struct {
 	Duration   sim.Time            // last completion time
 	OfferedRPS float64
 	DoneRPS    float64 // completed / duration
-	ACStats    core.Stats
-	StealFrac  float64
+	// ACStats covers the workload interval: the run ends at the last
+	// completion, so Ticks and UpdatesSent count no idle tail.
+	ACStats   core.Stats
+	StealFrac float64
+	// Events is the number of simulated events the run executed.
+	Events uint64
 	// WorkerUtilization is the mean busy fraction of the worker cores
 	// over the run (management/dispatcher cores excluded).
 	WorkerUtilization float64
@@ -349,7 +353,9 @@ func RunWith(sc *Scratch, cfg Config, wl Workload) (*Result, error) {
 	nDone := 0
 	var arenaErr error
 	done := func(r *rpcproto.Request) {
-		nDone++
+		if nDone++; nDone == wl.N {
+			eng.Stop() // nothing after the last completion can change a result
+		}
 		if int(r.ID) >= wl.Warmup {
 			res.Lat.Add(r.Latency())
 		}
@@ -401,25 +407,16 @@ func RunWith(sc *Scratch, cfg Config, wl Workload) (*Result, error) {
 	if cfg.SnapshotEvery > 0 {
 		var snap func()
 		snap = func() {
-			if nDone >= wl.N {
-				return
-			}
 			res.Snapshots = append(res.Snapshots, Snapshot{At: eng.Now(), Lens: s.QueueLens()})
 			eng.After(cfg.SnapshotEvery, snap)
 		}
 		eng.After(cfg.SnapshotEvery, snap)
 	}
 
-	// Run to completion; the AC runtime ticks forever, so run in chunks.
-	const chunk = 5 * sim.Millisecond
-	const hardCap = 100 * sim.Second
-	for nDone < wl.N {
-		if eng.Now() > hardCap {
-			return nil, fmt.Errorf("server: %s did not finish %d requests within %v (done %d)",
-				res.Name, wl.N, hardCap, nDone)
-		}
-		eng.Run(eng.Now() + chunk)
+	if err := runToLastDone(eng, res.Name, wl.N, &nDone); err != nil {
+		return nil, err
 	}
+	res.Events = eng.Processed()
 	if arenaErr != nil {
 		return nil, arenaErr
 	}
@@ -428,11 +425,7 @@ func RunWith(sc *Scratch, cfg Config, wl Workload) (*Result, error) {
 			res.Name, g.ar.Live()-liveBefore)
 	}
 	if ac, ok := s.(*core.Scheduler); ok {
-		ac.Stop()
 		res.ACStats = ac.Stats
-	}
-	if rp, ok := s.(*sched.RSSPlus); ok {
-		rp.Stop()
 	}
 	if z, ok := s.(*sched.Steal); ok {
 		res.StealFrac = z.StealFraction()
@@ -464,6 +457,31 @@ func RunWith(sc *Scratch, cfg Config, wl Workload) (*Result, error) {
 		res.DoneRPS = float64(wl.N) / res.Duration.Seconds()
 	}
 	return res, nil
+}
+
+// hardCap bounds a run's simulated time: a scheduler that is still
+// making events but not progress by then is reported, not waited on.
+const hardCap = 100 * sim.Second
+
+// runToLastDone runs the engine until the done callback of the n-th
+// completion stops it. The periodic machinery (manager ticks, rebalance
+// timers, checker checkpoints) never lets the queue drain on its own, so
+// the run ends at the last completion instead: no event after it can
+// change a request record. A queue that empties first means requests
+// were lost; a clock that reaches hardCap means they are stuck behind
+// machinery that still ticks.
+func runToLastDone(eng *sim.Engine, name string, n int, nDone *int) error {
+	eng.Run(hardCap)
+	switch {
+	case *nDone >= n:
+		return nil
+	case eng.Pending() == 0:
+		return fmt.Errorf("server: %s stalled: queue empty with %d requests outstanding (done %d of %d)",
+			name, n-*nDone, *nDone, n)
+	default:
+		return fmt.Errorf("server: %s did not finish %d requests within %v (done %d)",
+			name, n, hardCap, *nDone)
+	}
 }
 
 // checkSpecs maps a config's scheduler onto the checker's queue

@@ -352,7 +352,8 @@ func (e *Engine) fire(i int32) {
 
 // Run executes events until the queue is empty or the clock passes until.
 // Events scheduled exactly at until still run. Returns the number of
-// events executed by this call.
+// events executed by this call. A drained queue leaves the clock at
+// until; Stop leaves it at the stopping event.
 func (e *Engine) Run(until Time) uint64 {
 	e.stop = false
 	var n uint64
@@ -373,7 +374,7 @@ func (e *Engine) Run(until Time) uint64 {
 		n++
 		e.nEvent++
 	}
-	if e.now < until && e.qlen() == 0 {
+	if !e.stop && e.now < until && e.qlen() == 0 {
 		e.now = until
 	}
 	return n

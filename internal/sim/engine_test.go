@@ -252,6 +252,19 @@ func TestEngineStop(t *testing.T) {
 	}
 }
 
+// TestEngineStopKeepsClock: a Stop from the last queued event leaves
+// the clock at that event, not at the Run horizon (a drained queue
+// without Stop still advances it, see TestEngineIdleClockAdvance).
+func TestEngineStopKeepsClock(t *testing.T) {
+	for _, e := range []*Engine{NewEngine(), NewEngineHeap()} {
+		e.At(7*Nanosecond, e.Stop)
+		e.Run(Second)
+		if e.Now() != 7*Nanosecond || e.Pending() != 0 {
+			t.Fatalf("stopped at %v with %d pending, want 7ns and 0", e.Now(), e.Pending())
+		}
+	}
+}
+
 func TestEngineIdleClockAdvance(t *testing.T) {
 	e := NewEngine()
 	e.Run(42 * Nanosecond)

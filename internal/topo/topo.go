@@ -103,7 +103,7 @@ type NoC struct {
 	PerHop  sim.Time // per-hop router+link latency (paper: 3 ns)
 	BytesNS float64  // link bandwidth in bytes per nanosecond (e.g. 64 B/ns)
 
-	busyUntil map[int]sim.Time
+	busyUntil []sim.Time // per source tile; zero = never used
 }
 
 // NewNoC returns a NoC over the given mesh with the paper's 3 ns per-hop
@@ -113,7 +113,7 @@ func NewNoC(mesh Mesh) *NoC {
 		Mesh:      mesh,
 		PerHop:    3 * sim.Nanosecond,
 		BytesNS:   64,
-		busyUntil: make(map[int]sim.Time),
+		busyUntil: make([]sim.Time, mesh.Tiles()),
 	}
 }
 
@@ -132,7 +132,7 @@ func (n *NoC) Serialization(size int) sim.Time {
 func (n *NoC) Send(now sim.Time, src, dst, size int) (injectDone, arrive sim.Time) {
 	ser := n.Serialization(size)
 	start := now
-	if b, ok := n.busyUntil[src]; ok && b > start {
+	if b := n.busyUntil[src]; b > start {
 		start = b
 	}
 	n.busyUntil[src] = start + ser
@@ -153,4 +153,4 @@ func (n *NoC) Delay(now sim.Time, src, dst, size int) sim.Time {
 }
 
 // Reset clears link occupancy (between runs).
-func (n *NoC) Reset() { n.busyUntil = make(map[int]sim.Time) }
+func (n *NoC) Reset() { clear(n.busyUntil) }

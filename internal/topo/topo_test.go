@@ -167,3 +167,55 @@ func TestNoCSerialization(t *testing.T) {
 		t.Fatal("zero bandwidth should not divide by zero")
 	}
 }
+
+// TestNoCSendMatchesMapOccupancy replays a random message stream — every
+// tile of a 1024-core mesh as a source, bursts and idle gaps — against
+// the per-source occupancy rule written out over a map, the NoC's
+// original backing: Send and Delay must agree to the picosecond, before
+// and after an in-place Reset.
+func TestNoCSendMatchesMapOccupancy(t *testing.T) {
+	m := NewMesh(1024)
+	n := NewNoC(m)
+	busy := map[int]sim.Time{}
+	ref := func(now sim.Time, src, dst, size int) (sim.Time, sim.Time) {
+		ser := n.Serialization(size)
+		start := now
+		if b, ok := busy[src]; ok && b > start {
+			start = b
+		}
+		busy[src] = start + ser
+		hops := m.Hops(src, dst)
+		if hops == 0 {
+			hops = 1
+		}
+		return start - now + ser, start - now + ser + sim.Time(hops)*n.PerHop
+	}
+	rng := sim.NewRNG(3)
+	var now sim.Time
+	for i := 0; i < 20000; i++ {
+		if i == 10000 {
+			n.Reset()
+			clear(busy)
+			now = 0
+		}
+		if rng.Intn(4) == 0 {
+			now += sim.Time(rng.Intn(50)) * sim.Nanosecond
+		}
+		src, dst, size := rng.Intn(m.Tiles()), rng.Intn(m.Tiles()), rng.Intn(4096)
+		if i%2 == 0 {
+			src = m.Tiles() - 1 - rng.Intn(4) // a few hot sources, last tile included
+		}
+		wantInject, wantArrive := ref(now, src, dst, size)
+		if i%3 == 0 {
+			if got := n.Delay(now, src, dst, size); got != wantArrive {
+				t.Fatalf("msg %d: Delay(%v, %d, %d, %d) = %v, want %v", i, now, src, dst, size, got, wantArrive)
+			}
+			continue
+		}
+		inject, arrive := n.Send(now, src, dst, size)
+		if inject != wantInject || arrive != wantArrive {
+			t.Fatalf("msg %d: Send(%v, %d, %d, %d) = %v, %v, want %v, %v",
+				i, now, src, dst, size, inject, arrive, wantInject, wantArrive)
+		}
+	}
+}

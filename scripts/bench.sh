@@ -15,14 +15,21 @@
 #                     threshold + DecideRanked) on 1024- and 4096-core
 #                     group views; the O(active) contract in microcosm,
 #                     allocs/op must be 0
-#   BigTopoQuick      one 1024-core AC grid, load 0.5, 200 us simulated;
-#                     wall time derives bigtopo_quick_ms (non-gating)
+#   BigTopoQuick      one 1024-core AC grid, load 0.5, 200 us simulated:
+#                     the run ends at its last completion and only
+#                     changed UPDATEs land, so wall time is the workload's
+#                     ~13k manager ticks x 63 charged messages, not an
+#                     idle tail; ns/op is gated by benchjson -regress
+#                     (<=2x the committed record) and also derives the
+#                     informational bigtopo_quick_ms
 #   RequestLifecycle  the steady-state per-request path end to end on a
 #                     warm Scratch; ns/req and the (per-run, amortized)
-#                     allocs/op record the zero-alloc lifecycle
+#                     allocs/op record the zero-alloc lifecycle; ns/op
+#                     gated at <=2x
 #   QueueLens/*       scratch-buffer queue snapshots per scheduler;
 #                     allocs/op must be 0
-#   Fig10Serial       full Fig. 10 quick regeneration at fleet width 1
+#   Fig10Serial       full Fig. 10 quick regeneration at fleet width 1;
+#                     ns/op gated at <=2x
 #   Fig10Par4         same at fleet width 4; the derived
 #                     fig10_par4_speedup ratio records cross-run scaling
 #                     (~1.0 on a single core, >=2 expected on 4+ cores)

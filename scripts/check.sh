@@ -33,9 +33,12 @@
 #                      width, so this is fast on CI runners)
 #  10. alloc guard     a quick run of the zero-alloc benchmarks compared
 #                      against the committed BENCH_sim.json; any hot
-#                      path that regresses from 0 allocs/op prints a
-#                      WARNING (non-gating: timing noise never blocks a
-#                      merge, but new steady-state allocation is loud)
+#                      path that regresses from 0 allocs/op, and any
+#                      whole-run benchmark (BigTopoQuick, Fig10Serial,
+#                      RequestLifecycle) past 2x its committed ns/op,
+#                      prints a WARNING (non-gating: timing noise never
+#                      blocks a merge, but new steady-state allocation
+#                      or a multiple of the run time is loud)
 #
 # Fails fast on the first broken step.
 #
@@ -154,10 +157,12 @@ if [[ -f BENCH_sim.json ]]; then
     allocraw=$(mktemp)
     go test -run '^$' -bench 'BenchmarkEngineEvents$|BenchmarkEngineEventsDeep|BenchmarkBigTopoTick|BenchmarkQueueLens|BenchmarkPolicyTick$|BenchmarkRackDispatch|BenchmarkPhaseForward$' \
         -benchmem -benchtime 10000x . >"$allocraw" 2>&1 || true
-    go test -run '^$' -bench 'BenchmarkLiveLoopback$' \
+    # The whole-run benchmarks ride along for benchjson's 2x time gate
+    # (one iteration is a complete simulation, so three are a sample).
+    go test -run '^$' -bench 'BenchmarkLiveLoopback$|BenchmarkBigTopoQuick$|BenchmarkFig10Serial$|BenchmarkRequestLifecycle$' \
         -benchmem -benchtime 3x . >>"$allocraw" 2>&1 || true
     if ! go run ./cmd/benchjson -regress BENCH_sim.json <"$allocraw"; then
-        echo "WARNING: steady-state alloc regression (see above); refresh BENCH_sim.json via scripts/bench.sh if intended" >&2
+        echo "WARNING: steady-state alloc or whole-run time regression (see above); refresh BENCH_sim.json via scripts/bench.sh if intended" >&2
     fi
     rm -f "$allocraw"
 else
