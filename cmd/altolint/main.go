@@ -49,9 +49,10 @@ import (
 
 // escapesDefaultPatterns are the hotpath packages the -escapes gate
 // covers when no patterns are given: the policy core and arena (shared
-// per-request code), the live runtime, and the simulator's event engine
-// (the timer wheel's push/pop fast paths carry every simulated event).
-var escapesDefaultPatterns = []string{"internal/policy", "internal/arena", "internal/live", "internal/sim"}
+// per-request code), the live runtime and the MICA store its KV service
+// runs on, and the simulator's event engine (the timer wheel's push/pop
+// fast paths carry every simulated event).
+var escapesDefaultPatterns = []string{"internal/policy", "internal/arena", "internal/live", "internal/mica", "internal/sim"}
 
 // escapesAllowFile is the checked-in allowlist, relative to the module
 // root.

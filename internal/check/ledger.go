@@ -19,8 +19,12 @@ type Ledger struct {
 	allowRemigration bool
 	maxViolations    int
 
-	state    []uint8 // indexed by request id
-	migrated []int32 // indexed by request id: migration landings
+	// recs is indexed by request id, one byte each: the lifecycle state
+	// in the low ledgerStateBits, the migration landings above them,
+	// saturating at ledgerMaxLandings. The live runtime keeps one record
+	// per request of a run (millions), so the record's size is most of a
+	// short-request server's live heap.
+	recs []uint8
 
 	delivered uint64
 	completed uint64
@@ -31,14 +35,19 @@ type Ledger struct {
 	dropped    int
 }
 
-// NewLedger builds a ledger. expected pre-sizes the lifecycle slabs
+const (
+	ledgerStateBits   = 3 // stateFinished, the largest state, is 5
+	ledgerStateMask   = 1<<ledgerStateBits - 1
+	ledgerMaxLandings = 0xff >> ledgerStateBits
+)
+
+// NewLedger builds a ledger. expected pre-sizes the lifecycle slab
 // (ids beyond it still work, they just grow the slab); allowRemigration
 // disables the migrate-at-most-once law for the remigration ablation.
 func NewLedger(expected int, allowRemigration bool) *Ledger {
 	l := &Ledger{allowRemigration: allowRemigration, maxViolations: 16}
 	if expected > 0 {
-		l.state = make([]uint8, expected)
-		l.migrated = make([]int32, expected)
+		l.recs = make([]uint8, expected)
 	}
 	return l
 }
@@ -57,17 +66,23 @@ func (l *Ledger) record(invariant string, id uint64, detail string) {
 }
 
 func (l *Ledger) stateOf(id uint64) uint8 {
-	if id < uint64(len(l.state)) {
-		return l.state[id]
+	if id < uint64(len(l.recs)) {
+		return l.recs[id] & ledgerStateMask
 	}
 	return stateNew
 }
 
-func (l *Ledger) setState(id uint64, st uint8) {
-	for uint64(len(l.state)) <= id {
-		l.state = append(l.state, stateNew)
+// rec returns id's record, growing the slab to reach it.
+func (l *Ledger) rec(id uint64) *uint8 {
+	for uint64(len(l.recs)) <= id {
+		l.recs = append(l.recs, stateNew)
 	}
-	l.state[id] = st
+	return &l.recs[id]
+}
+
+func (l *Ledger) setState(id uint64, st uint8) {
+	r := l.rec(id)
+	*r = *r&^ledgerStateMask | st
 }
 
 // Delivered records one request entering the runtime. Request ids must
@@ -83,14 +98,18 @@ func (l *Ledger) Delivered(id uint64) {
 }
 
 // MigrateLanded records one request landing on a migration destination.
+// The per-request count saturates at ledgerMaxLandings, far past the
+// one landing the law allows.
 func (l *Ledger) MigrateLanded(id uint64) {
 	l.landed++
-	for uint64(len(l.migrated)) <= id {
-		l.migrated = append(l.migrated, 0)
+	r := l.rec(id)
+	n := *r >> ledgerStateBits
+	if n < ledgerMaxLandings {
+		n++
+		*r += 1 << ledgerStateBits
 	}
-	l.migrated[id]++
 	l.checks++
-	if n := l.migrated[id]; n > 1 && !l.allowRemigration {
+	if n > 1 && !l.allowRemigration {
 		l.record("migrate-once", id, fmt.Sprintf(
 			"request landed at a migration destination %d times (§VI allows one)", n))
 	}
@@ -128,8 +147,8 @@ func (l *Ledger) Verify() *Report {
 	}
 	l.checks++
 	inflight := 0
-	for _, st := range l.state {
-		if st != stateNew && st != stateFinished {
+	for _, r := range l.recs {
+		if st := r & ledgerStateMask; st != stateNew && st != stateFinished {
 			inflight++
 		}
 	}

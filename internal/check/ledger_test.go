@@ -121,6 +121,41 @@ func TestLedgerRemigrationAblation(t *testing.T) {
 	}
 }
 
+// The per-request landing count shares a byte with the lifecycle state
+// and saturates: a request bounced far past any real run must keep its
+// state intact, and the run totals stay exact.
+func TestLedgerLandingCountSaturates(t *testing.T) {
+	const landings = 3 * ledgerMaxLandings
+	l := NewLedger(2, true)
+	l.Delivered(0)
+	l.Delivered(1)
+	for i := 0; i < landings; i++ {
+		l.MigrateLanded(1)
+	}
+	l.Completed(0)
+	l.Completed(1)
+	if err := l.Verify().Err(); err != nil {
+		t.Fatalf("remigration ablation reported: %v", err)
+	}
+	if _, _, m := l.Counts(); m != landings {
+		t.Fatalf("landed count %d, want %d", m, landings)
+	}
+
+	strict := NewLedger(1, false)
+	strict.Delivered(0)
+	for i := 0; i < landings; i++ {
+		strict.MigrateLanded(0)
+	}
+	strict.Completed(0)
+	rep := strict.Verify()
+	if got := rep.Total(); got != landings-1 {
+		t.Fatalf("%d violations, want one per landing after the first (%d)", got, landings-1)
+	}
+	if v := findViolation(rep, "conservation"); v != nil {
+		t.Fatalf("landing count spilled into the state bits: %v", v)
+	}
+}
+
 func TestLedgerDrainImbalanceAndInflight(t *testing.T) {
 	l := NewLedger(4, false)
 	l.Delivered(0)

@@ -43,9 +43,23 @@ type Handler interface {
 	Serve(r *rpcproto.Request) ([]byte, rpcproto.Status)
 }
 
+// AppendHandler is the optional allocation-free form of a Handler:
+// AppendServe appends the response payload to dst and returns the
+// extended slice (dst itself when the response is empty). When the
+// handler given to New implements it, each worker serves through it
+// into a scratch buffer it owns and reuses, so a response built from
+// the handler's own state (a KV value) costs one copy and no allocation.
+type AppendHandler interface {
+	Handler
+	AppendServe(dst []byte, r *rpcproto.Request) ([]byte, rpcproto.Status)
+}
+
 // DoneFunc is the completion callback of one delivered request. It runs
 // on the worker goroutine that executed the request, after the handler
-// returns; keep it short (typically: enqueue the response frame).
+// returns; keep it short (typically: enqueue the response frame). The
+// payload is valid only until the callback returns: it may alias the
+// request's own payload (EchoHandler) or the worker's response scratch
+// (an AppendHandler), both of which are reused afterwards.
 type DoneFunc func(r *rpcproto.Request, payload []byte, st rpcproto.Status)
 
 // Config sizes a Runtime. The zero value is unusable; fields left zero
@@ -164,7 +178,11 @@ type task struct {
 type Runtime struct {
 	cfg     Config
 	handler Handler
-	clock   policy.Clock
+	// appender is handler's AppendHandler form, or nil: resolved once
+	// here so the per-request path branches on a nil check, not a type
+	// assertion.
+	appender AppendHandler
+	clock    policy.Clock
 
 	groups []*lgroup
 	// qlens is the shared queue-length board, the stand-in for the UPDATE
@@ -212,6 +230,7 @@ func New(cfg Config, h Handler) (*Runtime, error) {
 		ledger:  check.NewLedger(cfg.Expected, cfg.AllowRemigration),
 		stop:    make(chan struct{}),
 	}
+	rt.appender, _ = h.(AppendHandler)
 	if rt.clock == nil {
 		rt.clock = newWallClock()
 	}

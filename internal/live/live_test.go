@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -201,6 +202,179 @@ func TestKVLoopback(t *testing.T) {
 		t.Fatalf("store never exercised: %+v", st)
 	}
 	_ = rep
+}
+
+// TestKVValuesSurviveScratchReuse pipelines GETs for values of many
+// lengths over one connection and checks every response body against
+// its key. A worker serves each GET into one scratch buffer it reuses
+// for the next request, so a response frame that kept a reference to the
+// scratch instead of its bytes — or a value copied from the wrong place
+// in the log — shows up here as another key's bytes.
+func TestKVValuesSurviveScratchReuse(t *testing.T) {
+	const keys, n = 257, 20000
+	store, err := mica.NewStore(mica.Config{
+		Partitions: 2, BucketsPerPart: 1 << 8, EntriesPerBucket: 8, LogBytesPerPart: 1 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%04d", i)) }
+	val := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, i*3) } // key 0: empty value
+	for i := 0; i < keys; i++ {
+		if err := store.Set(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt, err := New(Config{Groups: 2, WorkersPerGroup: 2, WorkerDepth: 8, Expected: n}, NewKVHandler(store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(rt)
+	wait := srv.ServeBackground(ln)
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// id i asks for key i%keys, or for an absent key every 50th request.
+	sendErr := make(chan error, 1)
+	go func() {
+		var buf []byte
+		var err error
+		for i := 0; i < n && err == nil; i++ {
+			r := &rpcproto.Request{ID: uint64(i), Conn: uint32(i % 2), Op: rpcproto.OpGet, Payload: key(i % keys)}
+			if i%50 == 49 {
+				r.Payload = []byte("absent")
+			}
+			if buf, err = rpcproto.AppendRequest(buf[:0], r); err == nil {
+				_, err = conn.Write(buf)
+			}
+		}
+		sendErr <- err
+	}()
+	fr := newFrameReader(conn, connReadBuf, rpcproto.ResponseHeaderSize, rpcproto.ResponseFrameSize)
+	seen := make([]bool, n)
+	for got := 0; got < n; got++ {
+		frame, err := fr.next()
+		if err != nil {
+			t.Fatalf("after %d responses: %v", got, err)
+		}
+		resp, _, err := rpcproto.DecodeResponse(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := int(resp.ID)
+		if i >= n || seen[i] {
+			t.Fatalf("response for id %d: out of range or repeated", resp.ID)
+		}
+		seen[i] = true
+		if i%50 == 49 {
+			if resp.Status != rpcproto.StatusNotFound || len(resp.Payload) != 0 {
+				t.Fatalf("id %d (absent key): status %v, %d payload bytes", i, resp.Status, len(resp.Payload))
+			}
+			continue
+		}
+		if resp.Status != rpcproto.StatusOK || !bytes.Equal(resp.Payload, val(i%keys)) {
+			t.Fatalf("id %d (key %d): status %v, payload %d bytes starting %x; want %d bytes of %#x",
+				i, i%keys, resp.Status, len(resp.Payload), resp.Payload[:min(4, len(resp.Payload))], 3*(i%keys), byte(i%keys))
+		}
+	}
+	if err := <-sendErr; err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	drainCloseReport(t, rt)
+	if err := wait(); err != nil {
+		t.Fatal(err)
+	}
+	if leaked, stale := srv.DataPlaneStats(); leaked != 0 || stale != 0 {
+		t.Fatalf("data plane: %d leaked slot(s), %d stale release(s)", leaked, stale)
+	}
+}
+
+// TestKVHandlerServeForms pins the two forms of the handler to each
+// other: Serve is AppendServe into a fresh slice, and AppendServe only
+// ever extends what it was given.
+func TestKVHandlerServeForms(t *testing.T) {
+	store, err := mica.NewStore(mica.Config{Partitions: 2, BucketsPerPart: 16, EntriesPerBucket: 4, LogBytesPerPart: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewKVHandler(store)
+	for _, tc := range []struct {
+		name    string
+		req     rpcproto.Request
+		status  rpcproto.Status
+		payload string
+	}{
+		{"set", rpcproto.Request{Op: rpcproto.OpSet, Payload: EncodeSet([]byte("k"), []byte("value"))}, rpcproto.StatusOK, ""},
+		{"get", rpcproto.Request{Op: rpcproto.OpGet, Payload: []byte("k")}, rpcproto.StatusOK, "value"},
+		{"get absent", rpcproto.Request{Op: rpcproto.OpGet, Payload: []byte("nope")}, rpcproto.StatusNotFound, ""},
+		{"set same size", rpcproto.Request{Op: rpcproto.OpSet, Payload: EncodeSet([]byte("k"), []byte("VALUE"))}, rpcproto.StatusOK, ""},
+		{"get updated", rpcproto.Request{Op: rpcproto.OpGet, Payload: []byte("k")}, rpcproto.StatusOK, "VALUE"},
+		{"set truncated", rpcproto.Request{Op: rpcproto.OpSet, Payload: []byte{9, 0, 'k'}}, rpcproto.StatusError, ""},
+		{"set headerless", rpcproto.Request{Op: rpcproto.OpSet, Payload: []byte{1}}, rpcproto.StatusError, ""},
+		{"scan", rpcproto.Request{Op: rpcproto.OpScan, Payload: []byte{byte(store.Partition([]byte("k")))}}, rpcproto.StatusOK, "\x01\x00\x00\x00"},
+		{"echo", rpcproto.Request{Op: rpcproto.OpEcho, Payload: []byte("ping")}, rpcproto.StatusOK, "ping"},
+	} {
+		got, st := h.Serve(&tc.req)
+		if st != tc.status || string(got) != tc.payload {
+			t.Errorf("%s: Serve = %q, %v; want %q, %v", tc.name, got, st, tc.payload, tc.status)
+		}
+		if tc.req.Op == rpcproto.OpSet {
+			continue // a second SET is a different operation on the store
+		}
+		got, st = h.AppendServe([]byte("dst:"), &tc.req)
+		if st != tc.status || string(got) != "dst:"+tc.payload {
+			t.Errorf("%s: AppendServe = %q, %v; want %q, %v", tc.name, got, st, "dst:"+tc.payload, tc.status)
+		}
+	}
+}
+
+// TestKVGetThroughWorkerZeroAlloc is the allocation gate on the service
+// stage: a GET delivered to a running runtime — Deliver, manager
+// dispatch, the worker's AppendServe into its scratch, the completion
+// callback — makes no heap allocation once the scratch has grown to
+// the value size.
+func TestKVGetThroughWorkerZeroAlloc(t *testing.T) {
+	const runs = 2000
+	store, err := mica.NewStore(mica.Config{Partitions: 2, BucketsPerPart: 16, EntriesPerBucket: 4, LogBytesPerPart: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, val := []byte("key-0123456789ab"), bytes.Repeat([]byte{0xa5}, 512)
+	if err := store.Set(key, val); err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(Config{Groups: 1, WorkersPerGroup: 1, Expected: runs + 2}, NewKVHandler(store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	served := make(chan int, 1)
+	done := DoneFunc(func(_ *rpcproto.Request, payload []byte, st rpcproto.Status) {
+		if st != rpcproto.StatusOK {
+			payload = nil
+		}
+		served <- len(payload)
+	})
+	req := rpcproto.Request{Op: rpcproto.OpGet, Payload: key}
+	allocs := testing.AllocsPerRun(runs, func() {
+		rt.Deliver(&req, done)
+		if n := <-served; n != len(val) {
+			t.Fatalf("GET through the worker returned %d bytes, want %d", n, len(val))
+		}
+		req.ID++
+	})
+	drainCloseReport(t, rt)
+	if allocs != 0 {
+		t.Fatalf("a KV GET through a live worker allocates %v times, want 0", allocs)
+	}
 }
 
 // TestNackRestoresOrder forces a NACK by filling a destination's

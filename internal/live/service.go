@@ -56,49 +56,61 @@ func NewKVHandler(store *mica.Store) *KVHandler {
 	}
 }
 
+// Serve implements Handler: AppendServe into a fresh slice.
 func (h *KVHandler) Serve(r *rpcproto.Request) ([]byte, rpcproto.Status) {
+	return h.AppendServe(nil, r)
+}
+
+// AppendServe implements AppendHandler. A GET copies the value straight
+// from the store's log into dst under the partition lock; the key is
+// hashed once, for the lock and the store alike.
+//
+//altolint:hotpath
+func (h *KVHandler) AppendServe(dst []byte, r *rpcproto.Request) ([]byte, rpcproto.Status) {
 	switch r.Op {
 	case rpcproto.OpGet:
-		p := h.store.Partition(r.Payload)
-		h.locks[p].Lock()
-		v, ok := h.store.Get(r.Payload)
-		h.locks[p].Unlock()
+		hash := mica.Hash(r.Payload)
+		lock := &h.locks[h.store.PartitionOf(hash)]
+		lock.Lock()
+		out, ok := h.store.AppendGetHashed(dst, hash, r.Payload)
+		lock.Unlock()
 		if !ok {
-			return nil, rpcproto.StatusNotFound
+			return out, rpcproto.StatusNotFound
 		}
-		return v, rpcproto.StatusOK
+		return out, rpcproto.StatusOK
 	case rpcproto.OpSet:
 		// SET payload: 2-byte key length, key, value.
 		if len(r.Payload) < 2 {
-			return nil, rpcproto.StatusError
+			return dst, rpcproto.StatusError
 		}
 		klen := int(binary.LittleEndian.Uint16(r.Payload[0:2]))
 		if 2+klen > len(r.Payload) {
-			return nil, rpcproto.StatusError
+			return dst, rpcproto.StatusError
 		}
 		key, val := r.Payload[2:2+klen], r.Payload[2+klen:]
-		p := h.store.Partition(key)
-		h.locks[p].Lock()
-		err := h.store.Set(key, val)
-		h.locks[p].Unlock()
+		hash := mica.Hash(key)
+		lock := &h.locks[h.store.PartitionOf(hash)]
+		lock.Lock()
+		err := h.store.SetHashed(hash, key, val)
+		lock.Unlock()
 		if err != nil {
-			return nil, rpcproto.StatusError
+			return dst, rpcproto.StatusError
 		}
-		return nil, rpcproto.StatusOK
+		return dst, rpcproto.StatusOK
 	case rpcproto.OpScan:
 		// SCAN payload: 1-byte partition index hint.
 		p := 0
 		if len(r.Payload) > 0 {
 			p = int(r.Payload[0]) % len(h.locks)
 		}
-		h.locks[p].Lock()
+		lock := &h.locks[p]
+		lock.Lock()
 		n := h.store.Scan(p, h.ScanMax, nil)
-		h.locks[p].Unlock()
-		var out [4]byte
-		binary.LittleEndian.PutUint32(out[:], uint32(n))
-		return out[:], rpcproto.StatusOK
+		lock.Unlock()
+		return binary.LittleEndian.AppendUint32(dst, uint32(n)), rpcproto.StatusOK
 	default:
-		return r.Payload, rpcproto.StatusOK
+		//altolint:allow hotalloc grows the caller's scratch to the largest echoed payload once; the steady state reuses its capacity
+		return append(dst, r.Payload...), rpcproto.StatusOK
 	}
 }
 

@@ -2,6 +2,7 @@ package live
 
 import (
 	"repro/internal/policy"
+	"repro/internal/rpcproto"
 )
 
 // worker is one execution goroutine. The manager is the sole sender on
@@ -26,6 +27,10 @@ type worker struct {
 	// fixed-footprint histogram, so recording is allocation-free at any
 	// run length (the old per-sample slice grew with the run).
 	lats latHist
+
+	// resp is the response scratch an AppendHandler serves into: worker-
+	// owned, reused for the next request once done has returned.
+	resp []byte
 }
 
 func newWorker(g *lgroup, id int) *worker {
@@ -51,7 +56,14 @@ func (w *worker) run() {
 func (w *worker) serve(t *task) {
 	rt := w.g.rt
 	start := rt.clock.Now()
-	payload, st := rt.handler.Serve(t.req)
+	var payload []byte
+	var st rpcproto.Status
+	if rt.appender != nil {
+		w.resp, st = rt.appender.AppendServe(w.resp[:0], t.req)
+		payload = w.resp
+	} else {
+		payload, st = rt.handler.Serve(t.req)
+	}
 	end := rt.clock.Now()
 
 	w.g.svcSumNS.Add(int64((end - start) / policy.Nanosecond))

@@ -1,6 +1,7 @@
 package mica
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -57,13 +58,33 @@ func TestGetMiss(t *testing.T) {
 }
 
 func TestOverwrite(t *testing.T) {
+	// A same-size value is written where the old one lies; any other
+	// size appends a new copy and repoints the key's index slot.
 	s := smallStore(t, 1)
 	k := []byte("k")
-	s.Set(k, []byte("v1"))
-	s.Set(k, []byte("v2"))
-	v, ok := s.Get(k)
-	if !ok || string(v) != "v2" {
-		t.Fatalf("got %q ok=%v", v, ok)
+	p := s.parts[0]
+	for _, tc := range []struct {
+		val     string
+		inPlace bool
+	}{
+		{"v1", false}, // first copy
+		{"v2", true},
+		{"value-3", false},
+		{"VALUE-4", true},
+		{"", false},
+		{"", true},
+		{"v7", false},
+	} {
+		tail := p.tail
+		if err := s.Set(k, []byte(tc.val)); err != nil {
+			t.Fatal(err)
+		}
+		if inPlace := p.tail == tail; inPlace != tc.inPlace {
+			t.Fatalf("Set(%q): in place = %v, want %v", tc.val, inPlace, tc.inPlace)
+		}
+		if v, ok := s.Get(k); !ok || string(v) != tc.val {
+			t.Fatalf("after Set(%q): got %q ok=%v", tc.val, v, ok)
+		}
 	}
 }
 
@@ -93,31 +114,43 @@ func TestPartitionStability(t *testing.T) {
 
 func TestLogWraparoundIsLossyNotCorrupt(t *testing.T) {
 	// Fill a 64KB log several times over; old keys may miss but must
-	// never return wrong bytes.
+	// never return wrong bytes. Value lengths vary so the wrap point
+	// falls at a different place in an entry on every lap.
 	s := smallStore(t, 1)
-	val := make([]byte, 512)
 	const n = 1000 // ~520KB total, 8x the log
-	for i := 0; i < n; i++ {
-		for j := range val {
-			val[j] = byte(i)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%05d", i)) }
+	val := func(i int, fill byte) []byte {
+		v := make([]byte, 497+i%31)
+		for j := range v {
+			v[j] = fill
 		}
-		if err := s.Set([]byte(fmt.Sprintf("key-%05d", i)), val); err != nil {
+		return v
+	}
+	check := func(fill func(i int) byte) (hits int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			v, ok := s.Get(key(i))
+			if !ok {
+				continue
+			}
+			hits++
+			if len(v) != 497+i%31 {
+				t.Fatalf("key %d: %d value bytes, want %d", i, len(v), 497+i%31)
+			}
+			for _, b := range v {
+				if b != fill(i) {
+					t.Fatalf("corrupt value for key %d", i)
+				}
+			}
+		}
+		return hits
+	}
+	for i := 0; i < n; i++ {
+		if err := s.Set(key(i), val(i, byte(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	hits := 0
-	for i := 0; i < n; i++ {
-		v, ok := s.Get([]byte(fmt.Sprintf("key-%05d", i)))
-		if !ok {
-			continue
-		}
-		hits++
-		for _, b := range v {
-			if b != byte(i) {
-				t.Fatalf("corrupt value for key %d", i)
-			}
-		}
-	}
+	hits := check(func(i int) byte { return byte(i) })
 	if hits == 0 {
 		t.Fatal("no hits at all after wraparound")
 	}
@@ -125,8 +158,27 @@ func TestLogWraparoundIsLossyNotCorrupt(t *testing.T) {
 		t.Fatal("lossy store retained everything despite 8x overflow")
 	}
 	// Recent keys must survive.
-	if _, ok := s.Get([]byte(fmt.Sprintf("key-%05d", n-1))); !ok {
+	if _, ok := s.Get(key(n - 1)); !ok {
 		t.Fatal("most recent key evicted")
+	}
+
+	// Same-size updates of the survivors are in place, wherever their
+	// entries straddle the log end: the tail stays put, no survivor is
+	// lost, and neighbours keep their bytes.
+	p := s.parts[0]
+	tail := p.tail
+	for i := 0; i < n; i++ {
+		if _, ok := s.Get(key(i)); ok {
+			if err := s.Set(key(i), val(i, ^byte(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if p.tail != tail {
+		t.Fatalf("same-size updates advanced the tail by %d bytes", p.tail-tail)
+	}
+	if again := check(func(i int) byte { return ^byte(i) }); again != hits {
+		t.Fatalf("%d hits after in-place updates, want %d", again, hits)
 	}
 }
 
@@ -173,6 +225,45 @@ func TestOversizeEntryRejected(t *testing.T) {
 	s, _ := NewStore(Config{Partitions: 1, BucketsPerPart: 4, EntriesPerBucket: 2, LogBytesPerPart: 2048})
 	if err := s.Set([]byte("k"), make([]byte, 4096)); err == nil {
 		t.Fatal("oversize set should fail")
+	}
+}
+
+func TestOversizeKeyRejected(t *testing.T) {
+	// The entry header holds the key length in two bytes. A longer key
+	// used to be stored under its length mod 65536, so the next walk of
+	// the log (reserve, scan) hopped into the middle of it.
+	s, err := NewStore(Config{Partitions: 1, BucketsPerPart: 4, EntriesPerBucket: 2, LogBytesPerPart: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		keyLen int
+		ok     bool
+	}{
+		{1, true},
+		{65535, true},
+		{65536, false},
+		{65536 + 16, false},
+		{200000, false},
+	} {
+		key := bytes.Repeat([]byte{'k'}, tc.keyLen)
+		err := s.Set(key, []byte("value"))
+		if (err == nil) != tc.ok {
+			t.Fatalf("Set with a %d-byte key: err = %v, want ok = %v", tc.keyLen, err, tc.ok)
+		}
+		if _, hit := s.Get(key); hit != tc.ok {
+			t.Fatalf("Get of a %d-byte key: hit = %v, want %v", tc.keyLen, hit, tc.ok)
+		}
+	}
+	// The log still walks entry by entry: two entries went in.
+	if n := s.Scan(0, 10, nil); n != 2 {
+		t.Fatalf("scan visited %d entries, want 2", n)
+	}
+	if err := s.Set([]byte("after"), make([]byte, 1<<19)); err != nil { // forces reserve to walk
+		t.Fatal(err)
+	}
+	if v, ok := s.Get([]byte("after")); !ok || len(v) != 1<<19 {
+		t.Fatalf("entry after the walk: %d bytes, ok=%v", len(v), ok)
 	}
 }
 
@@ -235,24 +326,33 @@ func TestOpCost(t *testing.T) {
 	}
 }
 
-func BenchmarkSet(b *testing.B) {
-	s, _ := NewStore(DefaultConfig(4))
-	val := make([]byte, 512)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Set([]byte(fmt.Sprintf("key-%07d", i%100000)), val)
+func TestDataPathZeroAlloc(t *testing.T) {
+	// The per-operation contract: a GET into a buffer with room and a
+	// same-size SET touch the heap not at all.
+	s := smallStore(t, 4)
+	key, val := []byte("key-0123456789ab"), make([]byte, 512)
+	if err := s.Set(key, val); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func BenchmarkGet(b *testing.B) {
-	s, _ := NewStore(DefaultConfig(4))
-	val := make([]byte, 512)
-	for i := 0; i < 100000; i++ {
-		s.Set([]byte(fmt.Sprintf("key-%07d", i)), val)
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Get([]byte(fmt.Sprintf("key-%07d", i%100000)))
+	dst := make([]byte, 0, len(val))
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"AppendGet hit", func() {
+			if v, ok := s.AppendGet(dst, key); !ok || len(v) != len(val) {
+				t.Fatal("miss on a resident key")
+			}
+		}},
+		{"AppendGet miss", func() { s.AppendGet(dst, []byte("absent")) }},
+		{"same-size Set", func() {
+			if err := s.Set(key, val); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		if got := testing.AllocsPerRun(200, tc.op); got != 0 {
+			t.Errorf("%s: %v allocations per run, want 0", tc.name, got)
+		}
 	}
 }

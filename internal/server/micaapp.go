@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/mica"
@@ -52,6 +53,13 @@ type MICAApp struct {
 	// The per-phase durations sum exactly to the single-shot Time()
 	// value, so the total work offered is unchanged.
 	Phases *MICAPhases
+
+	// execute is the OnExecute hook of every request, bound once so
+	// Prepare installs it without allocating a closure; val is the value
+	// scratch its GETs copy into and its SETs write from. The app, like
+	// the store it drives, belongs to one simulation at a time.
+	execute func(*rpcproto.Request)
+	val     []byte
 }
 
 // MICAPhases maps the 4-phase MICA op decomposition onto core classes.
@@ -96,11 +104,12 @@ func NewMICAApp(store *mica.Store, cost mica.OpCost, keys, keyLen, valLen int) (
 		Keys: keys, KeyLen: keyLen, ValLen: valLen,
 		GetFrac: 0.5, ScanExecuteCap: 256,
 	}
-	val := make([]byte, valLen)
+	a.execute = a.onExecute
+	a.val = make([]byte, valLen)
 	key := make([]byte, keyLen)
 	for i := 0; i < keys; i++ {
 		a.fillKey(key, uint64(i))
-		if err := store.Set(key, val); err != nil {
+		if err := store.Set(key, a.val); err != nil {
 			return nil, err
 		}
 	}
@@ -146,8 +155,7 @@ func (a *MICAApp) Prepare(r *rpcproto.Request, rng *sim.RNG) {
 	if r.Op == rpcproto.OpSet {
 		r.Size += a.ValLen
 	}
-	part := a.Store.Partition(key)
-	r.Conn = uint32(part)
+	r.Conn = uint32(a.Store.Partition(key))
 
 	if a.FixedService > 0 {
 		r.Service = a.FixedService
@@ -159,33 +167,38 @@ func (a *MICAApp) Prepare(r *rpcproto.Request, rng *sim.RNG) {
 			a.Phases.apply(r, a.Cost.Phases(r.Op, a.ValLen, false))
 		}
 	}
-	fill := byte(keyID)
-	r.OnExecute = func(r *rpcproto.Request) {
-		// Real work at execution time.
-		switch r.Op {
-		case rpcproto.OpGet:
-			a.Store.Get(r.Payload)
-		case rpcproto.OpSet:
-			val := make([]byte, a.ValLen)
-			for i := range val {
-				val[i] = fill
-			}
-			// Set only fails for oversize entries, which Prepare's shape
-			// validation precludes.
-			_ = a.Store.Set(r.Payload, val)
-		case rpcproto.OpScan:
-			a.Store.Scan(part, a.ScanExecuteCap, nil)
+	r.OnExecute = a.execute
+}
+
+// onExecute does the request's real work against the store when a core
+// first runs it. What it needs from Prepare rides on the request: the
+// key is the payload, and the SET fill byte is the key id's low byte,
+// which fillKey put first.
+func (a *MICAApp) onExecute(r *rpcproto.Request) {
+	switch r.Op {
+	case rpcproto.OpGet:
+		a.val, _ = a.Store.AppendGet(a.val[:0], r.Payload)
+	case rpcproto.OpSet:
+		a.val = slices.Grow(a.val[:0], a.ValLen)[:a.ValLen]
+		fill := r.Payload[0]
+		for i := range a.val {
+			a.val[i] = fill
 		}
-		// EREW: a migrated request executes away from the partition's
-		// owner group and pays a remote access (§IX-C). OnExecute runs
-		// before the core reads the phase-0 duration, so in phased mode
-		// the penalty lands on the first phase consistently.
-		if r.Migrated {
-			r.Service += a.Cost.RemotePenalty
-			if r.Phased() {
-				r.PhaseSvc[0] += a.Cost.RemotePenalty
-				r.PhaseAcc[0] += a.Cost.RemotePenalty
-			}
+		// Set only fails for oversize entries, which Prepare's shape
+		// validation precludes.
+		_ = a.Store.Set(r.Payload, a.val)
+	case rpcproto.OpScan:
+		a.Store.Scan(a.Store.Partition(r.Payload), a.ScanExecuteCap, nil)
+	}
+	// EREW: a migrated request executes away from the partition's
+	// owner group and pays a remote access (§IX-C). OnExecute runs
+	// before the core reads the phase-0 duration, so in phased mode
+	// the penalty lands on the first phase consistently.
+	if r.Migrated {
+		r.Service += a.Cost.RemotePenalty
+		if r.Phased() {
+			r.PhaseSvc[0] += a.Cost.RemotePenalty
+			r.PhaseAcc[0] += a.Cost.RemotePenalty
 		}
 	}
 }

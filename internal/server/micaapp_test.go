@@ -94,6 +94,35 @@ func TestMICAAppExecutesRealWork(t *testing.T) {
 	}
 }
 
+func TestMICAAppExecuteIsAllocationFree(t *testing.T) {
+	// Every request's OnExecute is one pre-bound func working in app-
+	// owned scratch: the real GET, SET and SCAN touch the heap not at
+	// all, and a SET stores ValLen copies of the key id's low byte.
+	app := newTestApp(t, 2, 0.2)
+	rng := sim.NewRNG(5)
+	reqs := map[rpcproto.Op]*rpcproto.Request{}
+	for len(reqs) < 3 {
+		r := new(rpcproto.Request)
+		app.Prepare(r, rng)
+		reqs[r.Op] = r
+	}
+	for op, r := range reqs {
+		if got := testing.AllocsPerRun(100, func() { r.OnExecute(r) }); got != 0 {
+			t.Errorf("%v: OnExecute allocates %v times, want 0", op, got)
+		}
+	}
+	set := reqs[rpcproto.OpSet]
+	v, ok := app.Store.Get(set.Payload)
+	if !ok || len(v) != app.ValLen {
+		t.Fatalf("after SET: %d bytes, hit %v", len(v), ok)
+	}
+	for _, b := range v {
+		if b != set.Payload[0] {
+			t.Fatalf("SET stored %#x, want the key id's low byte %#x", b, set.Payload[0])
+		}
+	}
+}
+
 func TestMICAAppMigratedPenalty(t *testing.T) {
 	app := newTestApp(t, 2, 0)
 	rng := sim.NewRNG(3)

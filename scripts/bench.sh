@@ -53,6 +53,16 @@
 #                     p99.9 ride along, and the near-zero allocs/op
 #                     baseline arms benchjson's -regress gate (the hard
 #                     per-RPC gate is TestLiveLoopbackZeroAlloc)
+#   MICAGet, MICASet  one GET into a caller's buffer and one same-size
+#                     (in-place) SET of a resident key on the live-kv
+#                     store shape (100k 16 B keys, 512 B values, 4 x 48 MB
+#                     of log): index probe, key compare in the log, one
+#                     two-segment copy. allocs/op must be 0, gated by
+#                     benchjson -regress
+#   LiveKVLoopback    LiveLoopback with that store behind the runtime,
+#                     90 % GET / 10 % SET: against the echo figure its
+#                     rpc/s prices the service stage; near-zero
+#                     allocs/op gate as for LiveLoopback
 #
 # The text output is converted to JSON by cmd/benchjson. CI runs this as
 # a non-gating step: the numbers land in the job log and the committed
@@ -67,7 +77,7 @@ raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' \
-    -bench 'BenchmarkEngineEvents$|BenchmarkEngineEventsDeep|BenchmarkBigTopoTick|BenchmarkBigTopoQuick$|BenchmarkRequestLifecycle$|BenchmarkQueueLens|BenchmarkFig10Serial$|BenchmarkFig10Par4$|BenchmarkPolicyTick$|BenchmarkRackDispatch|BenchmarkPhaseForward$|BenchmarkLiveLoopback$' \
+    -bench 'BenchmarkEngineEvents$|BenchmarkEngineEventsDeep|BenchmarkBigTopoTick|BenchmarkBigTopoQuick$|BenchmarkRequestLifecycle$|BenchmarkQueueLens|BenchmarkFig10Serial$|BenchmarkFig10Par4$|BenchmarkPolicyTick$|BenchmarkRackDispatch|BenchmarkPhaseForward$|BenchmarkLiveLoopback$|BenchmarkMICAGet$|BenchmarkMICASet$|BenchmarkLiveKVLoopback$' \
     -benchmem -benchtime "${BENCHTIME:-1s}" . | tee "$raw"
 
 go run ./cmd/benchjson <"$raw" >BENCH_sim.json

@@ -10,7 +10,14 @@
 #                      hard-gating for repro/internal/live (the zero-
 #                      alloc data plane), warn-only elsewhere
 #                      (compiler-version dependent)
-#   4. go build        everything compiles
+#   4. go build        everything compiles, then the repro/bench module
+#                      (the repository benchmark, a module of its own
+#                      that imports this one through a replace) is
+#                      vetted and its smoke tests run: nothing else
+#                      builds it against program changes, so a change
+#                      that breaks its build or trips one of its run-time
+#                      checks would otherwise surface only in the
+#                      benchmark pipeline
 #   5. go test -race   full suite under the race detector, then two
 #                      extra bounded -race passes over internal/live and
 #                      the rack-tier smoke: the rack experiment at quick
@@ -19,11 +26,13 @@
 #   6. coverage ratchet the invariant-bearing packages (internal/sim,
 #                      internal/sched, internal/check) must stay above
 #                      their recorded coverage floors
-#   7. fuzz smoke      30s total of FuzzEngineHeap (event heap vs
+#   7. fuzz smoke      40s total of FuzzEngineHeap (event heap vs
 #                      container/heap oracle), FuzzTraceRoundTrip
-#                      (CSV/JSONL codec round trip), and
-#                      FuzzPhaseRoundTrip (phase-boundary sidecar codec)
-#                      over the committed corpora plus fresh mutations
+#                      (CSV/JSONL codec round trip), FuzzPhaseRoundTrip
+#                      (phase-boundary sidecar codec), and FuzzStore (the
+#                      MICA store vs its map oracle on a log of a few
+#                      entries) over the committed corpora plus fresh
+#                      mutations
 #   8. bigtopo smoke   the 1024-core big-topology grids at quick scale
 #                      with the checker on, timed so the wall cost of
 #                      the timer-wheel engine at scale stays visible
@@ -81,6 +90,9 @@ fi
 echo "== go build"
 go build ./...
 
+echo "== bench module (vet + smoke tests against this tree)"
+(cd bench && go vet ./... && go test ./...)
+
 echo "== go test -race"
 go test -race ./...
 
@@ -126,10 +138,11 @@ check_cover ./internal/sim 90
 check_cover ./internal/sched 82
 check_cover ./internal/check 86
 
-echo "== fuzz smoke (30s)"
+echo "== fuzz smoke (40s)"
 go test ./internal/sim -run '^$' -fuzz '^FuzzEngineHeap$' -fuzztime 10s >/dev/null
 go test ./internal/trace -run '^$' -fuzz '^FuzzTraceRoundTrip$' -fuzztime 10s >/dev/null
 go test ./internal/trace -run '^$' -fuzz '^FuzzPhaseRoundTrip$' -fuzztime 10s >/dev/null
+go test ./internal/mica -run '^$' -fuzz '^FuzzStore$' -fuzztime 10s >/dev/null
 
 echo "== big-topology smoke (1024-core grids, quick scale, invariant checker on)"
 # The bigtopo experiment is the heaviest registered run (9 grid points,
@@ -149,17 +162,18 @@ echo "== altobench smoke (all experiments, quick scale, invariant checker on)"
 go run ./cmd/altobench -exp all -scale quick -check >/dev/null
 
 echo "== zero-alloc regression guard (non-gating)"
-# The sim hotpaths at high iteration counts, plus the live loopback at
-# 3 rounds (one op = 20k RPCs; its near-zero allocs/op baseline gates
-# through benchjson's near-zero rule — the hard per-RPC gate is
-# TestLiveLoopbackZeroAlloc in the race run above).
+# The sim hotpaths and the MICA GET/SET kernels at high iteration
+# counts, plus the live loopbacks at 3 rounds (one op = 20k RPCs; their
+# near-zero allocs/op baselines gate through benchjson's near-zero rule
+# — the hard per-RPC gates are TestLiveLoopbackZeroAlloc and
+# TestLiveKVZeroAlloc in the race run above).
 if [[ -f BENCH_sim.json ]]; then
     allocraw=$(mktemp)
-    go test -run '^$' -bench 'BenchmarkEngineEvents$|BenchmarkEngineEventsDeep|BenchmarkBigTopoTick|BenchmarkQueueLens|BenchmarkPolicyTick$|BenchmarkRackDispatch|BenchmarkPhaseForward$' \
+    go test -run '^$' -bench 'BenchmarkEngineEvents$|BenchmarkEngineEventsDeep|BenchmarkBigTopoTick|BenchmarkQueueLens|BenchmarkPolicyTick$|BenchmarkRackDispatch|BenchmarkPhaseForward$|BenchmarkMICAGet$|BenchmarkMICASet$' \
         -benchmem -benchtime 10000x . >"$allocraw" 2>&1 || true
     # The whole-run benchmarks ride along for benchjson's 2x time gate
     # (one iteration is a complete simulation, so three are a sample).
-    go test -run '^$' -bench 'BenchmarkLiveLoopback$|BenchmarkBigTopoQuick$|BenchmarkFig10Serial$|BenchmarkRequestLifecycle$' \
+    go test -run '^$' -bench 'BenchmarkLiveLoopback$|BenchmarkLiveKVLoopback$|BenchmarkBigTopoQuick$|BenchmarkFig10Serial$|BenchmarkRequestLifecycle$' \
         -benchmem -benchtime 3x . >>"$allocraw" 2>&1 || true
     if ! go run ./cmd/benchjson -regress BENCH_sim.json <"$allocraw"; then
         echo "WARNING: steady-state alloc or whole-run time regression (see above); refresh BENCH_sim.json via scripts/bench.sh if intended" >&2
