@@ -23,7 +23,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/report"
-	"repro/internal/server"
 )
 
 // renderCharts draws any table shaped like (system, MRPS, p99, ...) as a
@@ -73,14 +72,10 @@ func main() {
 		chart = flag.Bool("chart", false, "also render latency-throughput tables as ASCII charts")
 		par   = flag.Int("par", 0, "cross-run parallelism: worker-pool width for independent runs (0 = GOMAXPROCS, 1 = fully serial); tables are byte-identical at any width")
 		chk   = flag.Bool("check", true, "run every simulation under the online invariant checker (internal/check); -check=false disables it")
-		noAr  = flag.Bool("noarena", false, "heap-allocate every request instead of using the request arena; results are byte-identical, only allocation behaviour changes")
-		hps   = flag.Bool("heapsched", false, "schedule events on the slab binary heap instead of the timer wheel; results are byte-identical, only scheduler cost changes")
 	)
 	flag.Parse()
 	fleet.SetParallelism(*par)
 	check.SetEnabled(*chk)
-	server.SetArenaEnabled(!*noAr)
-	server.SetHeapSched(*hps)
 
 	if *list || *expID == "" {
 		fmt.Println("available experiments:")

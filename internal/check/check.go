@@ -58,7 +58,7 @@ type QueueSpec struct {
 	// every checkpoint a non-empty owned queue with an idle owner is a
 	// work-conservation violation.
 	Core int
-	// Lens is this queue's index in Scheduler.QueueLens(), or -1 when
+	// Lens is this queue's index in Scheduler.QueueLensInto, or -1 when
 	// the snapshot does not expose it. Exposed queues are cross-checked
 	// against the shadow length at every checkpoint.
 	Lens int

@@ -128,10 +128,10 @@ func headDecide(view []int, self, threshold, bulk, conc int, patterns bool) (pol
 	return policy.TriggerNone, policy.PatternNone, nil
 }
 
-func headClassify(view []int, self, bulk, conc int) (Pattern, []int) {
+func headClassify(view []int, self, bulk, conc int) (policy.Pattern, []int) {
 	n := len(view)
 	if n < 2 || self < 0 || self >= n {
-		return PatternNone, nil
+		return policy.PatternNone, nil
 	}
 	if conc > n-1 {
 		conc = n - 1
@@ -146,7 +146,7 @@ func headClassify(view []int, self, bulk, conc int) (Pattern, []int) {
 	switch {
 	case view[longest] >= view[second]+bulk:
 		if self != longest {
-			return PatternHill, nil
+			return policy.PatternHill, nil
 		}
 		var dests []int
 		for i := n - 1; i >= 0 && len(dests) < conc; i-- {
@@ -154,12 +154,12 @@ func headClassify(view []int, self, bulk, conc int) (Pattern, []int) {
 				dests = append(dests, d)
 			}
 		}
-		return PatternHill, dests
+		return policy.PatternHill, dests
 	case view[shortest]+bulk <= view[secondShortest]:
 		if self == shortest {
-			return PatternValley, nil
+			return policy.PatternValley, nil
 		}
-		return PatternValley, []int{shortest}
+		return policy.PatternValley, []int{shortest}
 	case view[longest]-view[shortest] >= bulk:
 		for i := 0; i < conc && i < n/2; i++ {
 			if order[i] != self {
@@ -167,13 +167,13 @@ func headClassify(view []int, self, bulk, conc int) (Pattern, []int) {
 			}
 			d := order[n-1-i]
 			if d != self && view[self] > view[d] {
-				return PatternPairing, []int{d}
+				return policy.PatternPairing, []int{d}
 			}
-			return PatternPairing, nil
+			return policy.PatternPairing, nil
 		}
-		return PatternPairing, nil
+		return policy.PatternPairing, nil
 	}
-	return PatternNone, nil
+	return policy.PatternNone, nil
 }
 
 func headRankDescending(view []int) []int {

@@ -285,10 +285,7 @@ func (s *Scheduler) Deliver(r *rpcproto.Request) {
 // has drained, so the event queue can empty).
 func (s *Scheduler) Stop() { s.stopped = true }
 
-// QueueLens implements sched.Scheduler: the per-group NetRX lengths.
-func (s *Scheduler) QueueLens() []int { return s.QueueLensInto(nil) }
-
-// QueueLensInto implements sched.Scheduler.
+// QueueLensInto implements sched.Scheduler: the per-group NetRX lengths.
 //
 //altolint:hotpath
 func (s *Scheduler) QueueLensInto(buf []int) []int {
@@ -550,11 +547,11 @@ func (s *Scheduler) decide(g *group, t, qlen int) []int {
 	switch trigger {
 	case policy.TriggerPattern:
 		switch pattern {
-		case PatternHill:
+		case policy.PatternHill:
 			s.Stats.HillEvents++
-		case PatternValley:
+		case policy.PatternValley:
 			s.Stats.ValleyEvents++
-		case PatternPairing:
+		case policy.PatternPairing:
 			s.Stats.PairingEvents++
 		}
 	case policy.TriggerThreshold:

@@ -279,7 +279,7 @@ func TestPredictedMarking(t *testing.T) {
 func TestQueueLensAndViews(t *testing.T) {
 	p := DefaultParams(3, 2)
 	rig := newRig(t, p, nic.SteerRoundRobin)
-	if got := len(rig.s.QueueLens()); got != 3 {
+	if got := len(rig.s.QueueLensInto(nil)); got != 3 {
 		t.Fatalf("QueueLens size = %d", got)
 	}
 	if got := len(rig.s.GroupView(0)); got != 3 {

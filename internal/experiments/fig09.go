@@ -77,7 +77,7 @@ func fig09Snapshot(pol nic.SteerPolicy, n int, seed uint64) ([]int, error) {
 		if r.Latency() > slo {
 			violations++
 			if violations == 10 && snapshot == nil {
-				snapshot = s.QueueLens()
+				snapshot = s.QueueLensInto(nil)
 			}
 		}
 	}
@@ -110,7 +110,7 @@ func fig09Snapshot(pol nic.SteerPolicy, n int, seed uint64) ([]int, error) {
 	if snapshot == nil {
 		// Fewer than 10 violations in the whole run: report the final
 		// queue state instead (still shows the policy's skew).
-		snapshot = s.QueueLens()
+		snapshot = s.QueueLensInto(nil)
 	}
 	return snapshot, nil
 }

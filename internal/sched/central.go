@@ -156,9 +156,6 @@ func (s *Central) idleWorker() int {
 	return -1
 }
 
-// QueueLens implements Scheduler.
-func (s *Central) QueueLens() []int { return s.QueueLensInto(nil) }
-
 // QueueLensInto implements Scheduler.
 //
 //altolint:hotpath

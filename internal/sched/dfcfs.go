@@ -86,9 +86,6 @@ func (s *DFCFS) tryStart(i int) {
 	s.cores[i].Start(r, s.PickupCost, s.doneFns[i], nil)
 }
 
-// QueueLens implements Scheduler.
-func (s *DFCFS) QueueLens() []int { return s.QueueLensInto(nil) }
-
 // QueueLensInto implements Scheduler.
 //
 //altolint:hotpath

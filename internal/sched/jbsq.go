@@ -223,11 +223,8 @@ func (s *JBSQ) tryStart(i int) {
 	s.cores[i].Start(r, 0, s.doneFns[i], s.preemptFns[i])
 }
 
-// QueueLens implements Scheduler: the central queue length followed by
-// per-core outstanding counts.
-func (s *JBSQ) QueueLens() []int { return s.QueueLensInto(nil) }
-
-// QueueLensInto implements Scheduler.
+// QueueLensInto implements Scheduler: the central queue length followed
+// by per-core outstanding counts.
 //
 //altolint:hotpath
 func (s *JBSQ) QueueLensInto(buf []int) []int {

@@ -86,7 +86,7 @@ func TestJBSQRoundRobinTieBreak(t *testing.T) {
 		h.eng.At(sim.Time(i)*sim.Nanosecond, func() {
 			s.Deliver(r)
 			// All cores idle at each arrival: the pick must rotate.
-			q := s.QueueLens()
+			q := s.QueueLensInto(nil)
 			for c, p := range q[1:] {
 				if p > 0 {
 					targets[c] = true

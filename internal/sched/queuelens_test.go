@@ -1,4 +1,4 @@
-// Aliasing audit for every QueueLens implementation: the snapshot the
+// Aliasing audit for every QueueLensInto implementation: the snapshot the
 // invariant checker (internal/check) cross-checks at checkpoints must
 // be a defensive copy, never a view of scheduler-internal state — a
 // caller holding (or mutating) one snapshot must not perturb the next.
@@ -59,7 +59,7 @@ func TestQueueLensDefensiveCopies(t *testing.T) {
 			}
 			eng.Run(sim.Microsecond)
 
-			a := s.QueueLens()
+			a := s.QueueLensInto(nil)
 			if len(a) == 0 {
 				t.Fatal("empty QueueLens")
 			}
@@ -67,7 +67,7 @@ func TestQueueLensDefensiveCopies(t *testing.T) {
 			for i := range a {
 				a[i] = -99 // vandalise the first snapshot
 			}
-			b := s.QueueLens()
+			b := s.QueueLensInto(nil)
 			if &a[0] == &b[0] {
 				t.Fatal("QueueLens returned the same backing array twice")
 			}

@@ -189,9 +189,6 @@ func (s *RSSPlus) rebalance() {
 	}
 }
 
-// QueueLens implements Scheduler.
-func (s *RSSPlus) QueueLens() []int { return s.QueueLensInto(nil) }
-
 // QueueLensInto implements Scheduler.
 //
 //altolint:hotpath

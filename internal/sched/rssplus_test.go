@@ -41,7 +41,7 @@ func TestRSSPlusCompletesAndRebalances(t *testing.T) {
 	if s.Name() != "rss++" {
 		t.Fatal("name")
 	}
-	if len(s.QueueLens()) != 8 || len(s.Cores()) != 8 {
+	if len(s.QueueLensInto(nil)) != 8 || len(s.Cores()) != 8 {
 		t.Fatal("accessors")
 	}
 }

@@ -26,15 +26,13 @@ type Scheduler interface {
 	Name() string
 	// Deliver hands an arriving request to the scheduler at engine-now.
 	Deliver(r *rpcproto.Request)
-	// QueueLens returns a snapshot of the scheduler's queue lengths
-	// (semantics are scheduler-specific; used for instrumentation). The
-	// returned slice is freshly allocated — callers may keep or mutate it.
-	QueueLens() []int
-	// QueueLensInto writes the same snapshot into buf (reused from
-	// length 0, growing as needed) and returns it. Hot paths that sample
-	// queue lengths every tick use this with a per-simulation scratch
-	// buffer; the snapshot is only valid until the next call with the
-	// same buffer.
+	// QueueLensInto writes a snapshot of the scheduler's queue lengths
+	// (semantics are scheduler-specific; used for instrumentation) into
+	// buf (reused from length 0, growing as needed) and returns it. Hot
+	// paths that sample queue lengths every tick pass a per-simulation
+	// scratch buffer, and the snapshot is only valid until the next call
+	// with the same buffer; a nil buf yields a fresh slice the caller may
+	// keep.
 	QueueLensInto(buf []int) []int
 }
 

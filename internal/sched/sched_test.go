@@ -60,7 +60,7 @@ func TestDFCFSCompletesEverything(t *testing.T) {
 	if h.nDone != 5000 {
 		t.Fatalf("completed %d of 5000", h.nDone)
 	}
-	for i, q := range s.QueueLens() {
+	for i, q := range s.QueueLensInto(nil) {
 		if q != 0 {
 			t.Fatalf("queue %d not drained: %d", i, q)
 		}
@@ -179,7 +179,7 @@ func TestCentralPreemptionBreaksHOL(t *testing.T) {
 	if s.Preemptions() == 0 {
 		t.Fatal("no preemptions recorded")
 	}
-	if len(s.QueueLens()) != 1 {
+	if len(s.QueueLensInto(nil)) != 1 {
 		t.Fatal("central exposes one queue")
 	}
 }
@@ -212,7 +212,7 @@ func TestJBSQBoundCommitsRequests(t *testing.T) {
 	}
 	// Immediately after delivery, central should hold exactly 1.
 	h.eng.At(1, func() {
-		q := s.QueueLens()
+		q := s.QueueLensInto(nil)
 		if q[0] != 1 || q[1] != 2 {
 			t.Errorf("queue state = %v, want central=1 core=2", q)
 		}

@@ -140,9 +140,6 @@ func (s *Steal) run(i int, r *rpcproto.Request, overhead sim.Time) {
 	s.cores[i].Start(r, overhead, s.doneFns[i], nil)
 }
 
-// QueueLens implements Scheduler.
-func (s *Steal) QueueLens() []int { return s.QueueLensInto(nil) }
-
 // QueueLensInto implements Scheduler.
 //
 //altolint:hotpath

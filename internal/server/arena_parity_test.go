@@ -15,25 +15,6 @@ import (
 	"repro/internal/trace"
 )
 
-// TestGoldenTracesNoArena proves the arena is invisible to results: the
-// heap path (Config.NoArena) must reproduce the same checked-in golden
-// traces the arena path is locked to, byte for byte, for all nine
-// schedulers. Any divergence means request state leaked across the
-// acquire/release lifecycle.
-func TestGoldenTracesNoArena(t *testing.T) {
-	for _, kind := range goldenKinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			cfg := goldenConfig(kind)
-			cfg.NoArena = true
-			res, err := Run(cfg, goldenWorkload())
-			if err != nil {
-				t.Fatal(err)
-			}
-			compareGolden(t, kind, res)
-		})
-	}
-}
-
 // TestScratchReusePurity locks the RunWith contract: a Scratch carried
 // across consecutive runs (arena slabs warm, handle table reused) must
 // not change any run's trace. This is the serial shape of what each

@@ -18,39 +18,61 @@ import (
 // single-server golden traces byte for byte. The dispatcher makes a
 // degenerate decision per arrival but consumes no randomness and books
 // no extra events, so any divergence means the rack layer perturbed
-// the path it wraps.
+// the path it wraps. Every way of drawing a request goes through it —
+// the bare distribution, its one-phase neutral profile (both locked to
+// the checked-in goldens) and a two-phase chain, which has no golden
+// and is held to the single-server run instead.
 func TestRackOfOneGolden(t *testing.T) {
+	twoPhase := goldenWorkload()
+	half := dist.Exponential{M: sim.Microsecond / 2}
+	twoPhase.Profile = dist.NewPhaseProfile("", dist.PhaseSpec{Dist: half}, dist.PhaseSpec{Dist: half})
+	twoPhase.Service = nil
+	workloads := []struct {
+		name   string
+		wl     Workload
+		golden bool
+	}{
+		{"bare", goldenWorkload(), true},
+		{"one-phase", onePhaseWorkload(), true},
+		{"two-phase", twoPhase, false},
+	}
 	for _, kind := range goldenKinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			rr, err := RunRack(
-				RackConfig{Servers: 1, Policy: rack.PowerOfK},
-				goldenConfig(kind), goldenWorkload())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rr.RackCheck == nil || len(rr.ServerChecks) != 1 || rr.ServerChecks[0] == nil {
-				t.Fatal("rack run executed without its invariant checkers")
-			}
-			var buf bytes.Buffer
-			if err := trace.WriteCSV(&buf, rr.Requests); err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join("testdata", "golden",
-				fmt.Sprintf("%s.csv", sanitize(kind.String())))
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Fatalf("rack-of-1 trace deviates from the single-server golden %s (%d vs %d bytes)",
-					path, buf.Len(), len(want))
-			}
-			for id, srv := range rr.ServerOf {
-				if srv != 0 {
-					t.Fatalf("request %d dispatched to server %d in a rack of one", id, srv)
+		for _, w := range workloads {
+			t.Run(kind.String()+"/"+w.name, func(t *testing.T) {
+				rr, err := RunRack(
+					RackConfig{Servers: 1, Policy: rack.PowerOfK},
+					goldenConfig(kind), w.wl)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-		})
+				if rr.RackCheck == nil || len(rr.ServerChecks) != 1 || rr.ServerChecks[0] == nil {
+					t.Fatal("rack run executed without its invariant checkers")
+				}
+				single, err := Run(goldenConfig(kind), w.wl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got, want bytes.Buffer
+				if err := trace.WriteCSV(&got, rr.Requests); err != nil {
+					t.Fatal(err)
+				}
+				if err := trace.WriteCSV(&want, single.Requests); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatalf("rack-of-1 trace deviates from the single-server run (%d vs %d bytes)",
+						got.Len(), want.Len())
+				}
+				if w.golden {
+					compareGolden(t, kind, rr.Result)
+				}
+				for id, srv := range rr.ServerOf {
+					if srv != 0 {
+						t.Fatalf("request %d dispatched to server %d in a rack of one", id, srv)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -124,24 +146,6 @@ func TestRackGoldenTraces(t *testing.T) {
 					path, len(got), len(want))
 			}
 		})
-	}
-}
-
-// TestRackArenaParity proves the arena is invisible to rack results,
-// mirroring TestGoldenTracesNoArena at rack width 3.
-func TestRackArenaParity(t *testing.T) {
-	rc, cfg, wl := rackGoldenConfig()
-	a, err := RunRack(rc, cfg, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.NoArena = true
-	b, err := RunRack(rc, cfg, wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rackTraceBytes(t, a), rackTraceBytes(t, b)) {
-		t.Fatal("arena and heap rack runs diverge")
 	}
 }
 
@@ -220,5 +224,9 @@ func TestRackConfigValidate(t *testing.T) {
 	bad.N = 0
 	if _, err := RunRack(RackConfig{Servers: 2}, cfg, bad); err == nil {
 		t.Fatal("empty workload accepted")
+	}
+	cfg.SnapshotEvery = sim.Microsecond
+	if _, err := RunRack(RackConfig{Servers: 2}, cfg, wl); err == nil {
+		t.Fatal("SnapshotEvery accepted on a rack of 2")
 	}
 }

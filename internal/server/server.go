@@ -93,55 +93,6 @@ type Config struct {
 	// deterministic, so results are identical either way; opt out only
 	// for micro-benchmarks where its bookkeeping overhead matters.
 	NoCheck bool
-
-	// NoArena opts this run out of the request arena: every request is
-	// heap-allocated for its whole lifetime, as in the original
-	// implementation. Results are byte-identical either way (the arena
-	// only changes where request records live); the escape hatch exists
-	// so allocation-sensitive regressions can be bisected against the
-	// plain-heap path (altobench -noarena).
-	NoArena bool
-
-	// HeapSched runs this simulation on the slab binary-heap event
-	// scheduler instead of the default timer wheel. Results are
-	// byte-identical either way (both backends fire in (at, seq) order);
-	// the reference backend exists so scheduler bugs can be bisected
-	// differentially (altobench -heapsched), mirroring NoArena.
-	HeapSched bool
-}
-
-// arenaEnabled is the process-wide default, written once at startup
-// (the altobench -noarena flag) before any run begins — the same
-// contract as check.SetEnabled.
-var arenaEnabled = true
-
-// SetArenaEnabled flips the process-wide arena default. Call it only
-// before runs start (flag parsing); per-run opt-out is Config.NoArena.
-func SetArenaEnabled(on bool) { arenaEnabled = on }
-
-// ArenaEnabled reports the process-wide default.
-func ArenaEnabled() bool { return arenaEnabled }
-
-// heapSched is the process-wide event-scheduler default, written once
-// at startup (the altobench -heapsched flag) before any run begins —
-// the same contract as SetArenaEnabled.
-var heapSched = false
-
-// SetHeapSched flips the process-wide scheduler default to the slab
-// binary heap. Call it only before runs start (flag parsing); per-run
-// opt-in is Config.HeapSched.
-func SetHeapSched(on bool) { heapSched = on }
-
-// HeapSchedEnabled reports the process-wide default.
-func HeapSchedEnabled() bool { return heapSched }
-
-// newEngine builds the run's event engine per the config and the
-// process-wide default.
-func newEngine(cfg Config) *sim.Engine {
-	if cfg.HeapSched || heapSched {
-		return sim.NewEngineHeap()
-	}
-	return sim.NewEngine()
 }
 
 // Scratch holds per-worker reusable state for a sequence of runs: the
@@ -209,28 +160,39 @@ type Snapshot struct {
 	Lens []int
 }
 
-// gen drives the lazily-generated arrival chain. All callbacks are
-// bound once at run start and requests ride through the engine as
-// AtArg/AfterArg payloads, so steady-state generation, arrival, and
-// delivery allocate nothing beyond the request records themselves —
-// and with the arena enabled, not even those.
+// server is one machine of a run: its scheduler, its NIC receive model
+// and, unless opted out, its passive invariant checker.
+type server struct {
+	sched sched.Scheduler
+	rx    nic.RXModel
+	chk   *check.Checker
+}
+
+// gen drives the lazily-generated arrival chain of a run over one or
+// more servers. All callbacks are bound once at run start and requests
+// ride through the engine as AtArg/AfterArg payloads, so steady-state
+// generation, arrival, and delivery allocate nothing: requests live in
+// the arena's slots while in flight and are copied into the records
+// value slab (which backs res.Requests) at completion, when every field
+// is final.
 type gen struct {
 	eng    *sim.Engine
-	s      sched.Scheduler
-	rx     nic.RXModel
 	wl     *Workload
 	arrRNG *sim.RNG
 	svcRNG *sim.RNG
 	res    *Result
 
-	// Arena mode: requests live in ar's slots while in flight and are
-	// copied into the records value slab (which backs res.Requests) at
-	// completion, when every field is final. Heap mode: ar is nil and
-	// each request is a plain allocation kept forever.
+	servers []server
+	// tier is the rack dispatch layer over the servers; nil for a
+	// single-server run, whose arrivals all go to servers[0].
+	tier *rackTier
+
 	ar      *arena.Arena
 	handles []arena.RequestID
 	records []rpcproto.Request
 
+	nDone      int
+	arenaErr   error
 	meanSvcSum float64
 	arriveFn   func(arg any, n int64)
 	deliverFn  func(arg any, n int64)
@@ -246,14 +208,9 @@ func (g *gen) schedule(i int, at sim.Time) {
 	if i >= g.wl.N {
 		return
 	}
-	var r *rpcproto.Request
-	if g.ar != nil {
-		r, g.handles[i] = g.ar.Acquire()
-		g.res.Requests[i] = &g.records[i]
-	} else {
-		r = &rpcproto.Request{} //altolint:allow hotalloc the NoArena escape hatch heap-allocates by design
-		g.res.Requests[i] = r
-	}
+	r, h := g.ar.Acquire()
+	g.handles[i] = h
+	g.res.Requests[i] = &g.records[i]
 	r.ID = uint64(i)
 	r.Conn = uint32(g.arrRNG.Intn(g.wl.Conns))
 	r.Size = 300
@@ -267,8 +224,9 @@ func (g *gen) schedule(i int, at sim.Time) {
 	g.meanSvcSum += r.Service.Seconds()
 	// Software stacks charge per-request processing on the core. For a
 	// phased request the stack cost lands on the first phase so the
-	// per-phase durations keep summing to Service.
-	stackCost := g.rx.CoreStackCost(r.Size)
+	// per-phase durations keep summing to Service. The servers of a rack
+	// are identical, so servers[0]'s receive model prices all of them.
+	stackCost := g.servers[0].rx.CoreStackCost(r.Size)
 	r.Service += stackCost
 	if r.NumPhases > 0 && stackCost > 0 {
 		r.PhaseSvc[0] += stackCost
@@ -278,23 +236,53 @@ func (g *gen) schedule(i int, at sim.Time) {
 	g.eng.AtArg(at, g.arriveFn, r, int64(gap))
 }
 
-// arrive is the bound arrival callback: stamp the arrival, book the
-// NIC delivery, and generate the next request. The event creation
-// order (delivery before next arrival) matches the original closure
-// chain exactly.
+// arrive is the bound arrival callback: stamp the arrival, let the rack
+// tier (if any) pick the server, book that server's NIC delivery, and
+// generate the next request. The event creation order (delivery before
+// next arrival) matches the original closure chain exactly.
 //
 //altolint:hotpath
 func (g *gen) arrive(arg any, gapN int64) {
 	r := arg.(*rpcproto.Request)
 	now := g.eng.Now()
 	r.Arrival = now
-	g.eng.AfterArg(g.rx.Delay(r.Size), g.deliverFn, r, 0)
+	srv := 0
+	if g.tier != nil {
+		srv = g.tier.dispatch(r, now)
+	}
+	g.eng.AfterArg(g.servers[srv].rx.Delay(r.Size), g.deliverFn, r, int64(srv))
 	g.schedule(int(r.ID)+1, now+sim.Time(gapN))
 }
 
 //altolint:hotpath
-func (g *gen) deliver(arg any, _ int64) {
-	g.s.Deliver(arg.(*rpcproto.Request))
+func (g *gen) deliver(arg any, srv int64) {
+	g.servers[srv].sched.Deliver(arg.(*rpcproto.Request))
+}
+
+// complete is every server's done callback: the last completion stops
+// the engine (nothing after it can change a result), the latency sample
+// and the request record are taken while every field is final, and the
+// arena slot is recycled.
+func (g *gen) complete(srv int, r *rpcproto.Request) {
+	if g.nDone++; g.nDone == g.wl.N {
+		g.eng.Stop()
+	}
+	if g.tier != nil {
+		g.tier.complete(srv, r.ID, g.eng.Now())
+	}
+	if int(r.ID) >= g.wl.Warmup {
+		g.res.Lat.Add(r.Latency())
+	}
+	if r.Finish > g.res.Duration {
+		g.res.Duration = r.Finish
+	}
+	g.records[r.ID] = *r
+	// A stale handle here means a request completed twice — remember the
+	// first occurrence and fail the run after the loop (the checker
+	// reports it too).
+	if !g.ar.Release(g.handles[r.ID]) && g.arenaErr == nil {
+		g.arenaErr = fmt.Errorf("server: request %d released with stale arena handle", r.ID)
+	}
 }
 
 // Run executes the workload against the configured server with a
@@ -307,8 +295,35 @@ func Run(cfg Config, wl Workload) (*Result, error) {
 // runs (sc == nil allocates a fresh Scratch; pass one only from a
 // single goroutine at a time). Results are independent of sc.
 func RunWith(sc *Scratch, cfg Config, wl Workload) (*Result, error) {
+	rr, err := run(sc, nil, cfg, wl)
+	if err != nil {
+		return nil, err
+	}
+	return rr.Result, nil
+}
+
+// run is the one run loop. One engine drives every server: a shared
+// arrival process feeds each request to one server's NIC receive path,
+// and each server runs its own scheduler, cores, and (by default)
+// invariant checker. With rc == nil that is all there is — one server,
+// every arrival delivered to it. A non-nil rc adds the rack tier over
+// the unchanged servers: a dispatcher picks the server per arrival and a
+// rack-level checker proves inter-server conservation and bounded
+// staleness on top. The returned RackResult carries rack accounting only
+// in that case.
+func run(sc *Scratch, rc *RackConfig, cfg Config, wl Workload) (*RackResult, error) {
+	nServers := 1
+	if rc != nil {
+		if err := rc.Validate(); err != nil {
+			return nil, err
+		}
+		nServers = rc.Servers
+	}
 	if wl.N <= 0 {
 		return nil, fmt.Errorf("server: workload N = %d", wl.N)
+	}
+	if cfg.SnapshotEvery > 0 && nServers > 1 {
+		return nil, fmt.Errorf("server: SnapshotEvery is per server; a rack of %d has no snapshot format", nServers)
 	}
 	if wl.Conns <= 0 {
 		wl.Conns = 1024
@@ -319,87 +334,83 @@ func RunWith(sc *Scratch, cfg Config, wl Workload) (*Result, error) {
 	if cfg.Cost.ClockHz == 0 {
 		cfg.Cost = fabric.Default()
 	}
+	if sc == nil {
+		sc = NewScratch()
+	}
+	if cap(sc.handles) < wl.N {
+		sc.handles = make([]arena.RequestID, wl.N)
+	}
 
-	eng := newEngine(cfg)
+	eng := sim.NewEngine()
 	root := sim.NewRNG(cfg.Seed)
-	arrRNG := root.Fork(1)
-	svcRNG := root.Fork(2)
-	steerRNG := root.Fork(3)
-	schedRNG := root.Fork(4)
-
 	res := &Result{
-		Name:     cfg.Kind.String(),
 		Lat:      stats.NewSample(wl.N),
 		Requests: make([]*rpcproto.Request, wl.N),
 	}
-
-	g := &gen{eng: eng, wl: &wl, arrRNG: arrRNG, svcRNG: svcRNG, res: res}
-	liveBefore := 0
-	if !cfg.NoArena && ArenaEnabled() {
-		if sc == nil {
-			sc = NewScratch()
-		}
-		g.ar = sc.arena
-		liveBefore = g.ar.Live()
-		if cap(sc.handles) < wl.N {
-			sc.handles = make([]arena.RequestID, wl.N)
-		}
-		g.handles = sc.handles[:wl.N]
+	rr := &RackResult{Result: res}
+	g := &gen{
+		eng: eng, wl: &wl, res: res,
+		arrRNG:  root.Fork(1),
+		svcRNG:  root.Fork(2),
+		servers: make([]server, nServers),
+		ar:      sc.arena,
+		handles: sc.handles[:wl.N],
 		// The records slab is retained by the Result, so it cannot live
 		// in the Scratch: one allocation per run, not per request.
-		g.records = make([]rpcproto.Request, wl.N)
+		records: make([]rpcproto.Request, wl.N),
 	}
+	liveBefore := g.ar.Live()
 
-	nDone := 0
-	var arenaErr error
-	done := func(r *rpcproto.Request) {
-		if nDone++; nDone == wl.N {
-			eng.Stop() // nothing after the last completion can change a result
-		}
-		if int(r.ID) >= wl.Warmup {
-			res.Lat.Add(r.Latency())
-		}
-		if r.Finish > res.Duration {
-			res.Duration = r.Finish
-		}
-		if g.ar != nil {
-			// Every field is final at completion; snapshot the record,
-			// then recycle the slot. A stale handle here means a request
-			// completed twice — remember the first occurrence and fail
-			// the run after the loop (the checker reports it too).
-			g.records[r.ID] = *r
-			if !g.ar.Release(g.handles[r.ID]) && arenaErr == nil {
-				arenaErr = fmt.Errorf("server: request %d released with stale arena handle", r.ID)
+	// Build each server — scheduler, NIC receive model, and its own
+	// passive invariant checker — in index order. The forks continue the
+	// tag sequence server by server (3 and 4 for server 0, 5 and 6 for
+	// server 1, ...) and the rack's own RNG forks last, so a rack of one
+	// replays the single-server streams draw for draw: its dispatcher
+	// never consumes randomness.
+	checkOn := !cfg.NoCheck && (rc == nil || !rc.NoCheck) && check.Enabled()
+	for s := range g.servers {
+		steerRNG := root.Fork(uint64(3 + 2*s))
+		schedRNG := root.Fork(uint64(4 + 2*s))
+		done := sched.Done(func(r *rpcproto.Request) { g.complete(s, r) })
+		var chk *check.Checker
+		if checkOn {
+			opts := check.Options{
+				AllowRemigration: cfg.Kind == SchedAltocumulus && cfg.AC.AllowRemigration,
+				WorkConserving:   cfg.Kind == SchedZygOS,
 			}
+			if nServers == 1 {
+				opts.Expected = wl.N // a lone server receives every request
+			}
+			chk = check.New(opts)
+			done = chk.WrapDone(done)
 		}
+		sch, rx, err := build(cfg, eng, steerRNG, schedRNG, done)
+		if err != nil {
+			return nil, err
+		}
+		if chk != nil {
+			sch.(interface{ SetObserver(sched.Observer) }).SetObserver(chk)
+			chk.Attach(eng, checkSpecs(cfg), sch.QueueLensInto)
+		}
+		g.servers[s] = server{sched: sch, rx: rx, chk: chk}
 	}
-
-	var chk *check.Checker
-	if !cfg.NoCheck && check.Enabled() {
-		chk = check.New(check.Options{
-			Expected:         wl.N,
-			AllowRemigration: cfg.Kind == SchedAltocumulus && cfg.AC.AllowRemigration,
-			WorkConserving:   cfg.Kind == SchedZygOS,
-		})
-		done = chk.WrapDone(done)
-	}
-
-	s, rx, err := build(cfg, eng, steerRNG, schedRNG, done)
-	if err != nil {
-		return nil, err
-	}
-	if chk != nil {
-		s.(interface{ SetObserver(sched.Observer) }).SetObserver(chk)
-		chk.Attach(eng, checkSpecs(cfg), s.QueueLensInto)
-	}
-	res.Name = s.Name()
+	first := g.servers[0].sched
+	res.Name = first.Name()
 	if cfg.Kind == SchedAltocumulus {
 		res.Name = "Altocumulus"
+	}
+	if rc != nil {
+		tier, err := newRackTier(*rc, rr, wl.N, root.Fork(uint64(3+2*nServers)), checkOn)
+		if err != nil {
+			return nil, err
+		}
+		g.tier = tier
+		tier.startSampler(eng)
+		res.Name = fmt.Sprintf("rack-of-%d[%s] %s", rc.Servers, rc.Policy, res.Name)
 	}
 
 	// Lazily-generated arrival chain: one event in flight at a time,
 	// driven by the pre-bound gen callbacks.
-	g.s, g.rx = s, rx
 	g.arriveFn = g.arrive
 	g.deliverFn = g.deliver
 	g.schedule(0, 0)
@@ -407,42 +418,60 @@ func RunWith(sc *Scratch, cfg Config, wl Workload) (*Result, error) {
 	if cfg.SnapshotEvery > 0 {
 		var snap func()
 		snap = func() {
-			res.Snapshots = append(res.Snapshots, Snapshot{At: eng.Now(), Lens: s.QueueLens()})
+			res.Snapshots = append(res.Snapshots, Snapshot{At: eng.Now(), Lens: first.QueueLensInto(nil)})
 			eng.After(cfg.SnapshotEvery, snap)
 		}
 		eng.After(cfg.SnapshotEvery, snap)
 	}
 
-	if err := runToLastDone(eng, res.Name, wl.N, &nDone); err != nil {
+	if err := runToLastDone(eng, res.Name, wl.N, &g.nDone); err != nil {
 		return nil, err
 	}
 	res.Events = eng.Processed()
-	if arenaErr != nil {
-		return nil, arenaErr
+	if g.arenaErr != nil {
+		return nil, g.arenaErr
 	}
-	if g.ar != nil && g.ar.Live() != liveBefore {
+	if g.ar.Live() != liveBefore {
 		return nil, fmt.Errorf("server: %s leaked %d arena requests",
 			res.Name, g.ar.Live()-liveBefore)
 	}
-	if ac, ok := s.(*core.Scheduler); ok {
+
+	if ac, ok := first.(*core.Scheduler); ok {
 		res.ACStats = ac.Stats
 	}
-	if z, ok := s.(*sched.Steal); ok {
+	if z, ok := first.(*sched.Steal); ok {
 		res.StealFrac = z.StealFraction()
 	}
-	if cs, ok := s.(interface{ Cores() []*exec.Core }); ok && res.Duration > 0 {
-		var busy float64
-		cores := cs.Cores()
-		for _, c := range cores {
-			busy += c.BusyTime().Seconds()
+	var busy float64
+	var nCores int
+	for _, srv := range g.servers {
+		if cs, ok := srv.sched.(interface{ Cores() []*exec.Core }); ok {
+			cores := cs.Cores()
+			for _, c := range cores {
+				busy += c.BusyTime().Seconds()
+			}
+			nCores += len(cores)
 		}
-		res.WorkerUtilization = busy / (res.Duration.Seconds() * float64(len(cores)))
+	}
+	if res.Duration > 0 && nCores > 0 {
+		res.WorkerUtilization = busy / (res.Duration.Seconds() * float64(nCores))
 	}
 
-	if chk != nil {
-		res.Check = chk.Finalize()
-		if err := res.Check.Err(); err != nil {
-			return nil, fmt.Errorf("server: %s: %w", res.Name, err)
+	if checkOn {
+		for s, srv := range g.servers {
+			rep := srv.chk.Finalize()
+			if err := rep.Err(); err != nil {
+				return nil, fmt.Errorf("server: %s server %d: %w", res.Name, s, err)
+			}
+			rr.ServerChecks = append(rr.ServerChecks, rep)
+		}
+		res.Check = rr.ServerChecks[0]
+		if g.tier != nil {
+			// A rack run's headline report is the rack checker's.
+			if err := g.tier.finalize(eng.Now()); err != nil {
+				return nil, fmt.Errorf("server: %s: %w", res.Name, err)
+			}
+			res.Check = rr.RackCheck
 		}
 	}
 
@@ -456,7 +485,7 @@ func RunWith(sc *Scratch, cfg Config, wl Workload) (*Result, error) {
 	if res.Duration > 0 {
 		res.DoneRPS = float64(wl.N) / res.Duration.Seconds()
 	}
-	return res, nil
+	return rr, nil
 }
 
 // hardCap bounds a run's simulated time: a scheduler that is still
@@ -499,8 +528,9 @@ func checkSpecs(cfg Config) []check.QueueSpec {
 		// idle workers is legal while dispatches are in flight.
 		specs = []check.QueueSpec{{ID: 0, Core: -1, Lens: 0}}
 	case SchedRPCValet, SchedNebula, SchedNanoPU:
-		// QueueLens exposes per-core outstanding counts (not local queue
-		// lengths) after the central length, so only index 0 cross-checks.
+		// QueueLensInto exposes per-core outstanding counts (not local
+		// queue lengths) after the central length, so only index 0
+		// cross-checks.
 		specs = append(specs, check.QueueSpec{ID: 0, Core: -1, Lens: 0})
 		for i := 0; i < cfg.Cores; i++ {
 			specs = append(specs, check.QueueSpec{ID: 1 + i, Core: i, Lens: -1})

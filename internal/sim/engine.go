@@ -65,16 +65,13 @@ func (id EventID) Valid() bool { return id.eng != nil }
 // parallel, the simulator is not — same as ZSim's bound-phase model
 // collapsed to a strict event order).
 //
-// Two scheduler backends share the slab: the default timer wheel
-// (wheel.go) and the original slab binary heap, kept as a differential
-// reference behind NewEngineHeap. Both fire events in identical
-// (at, seq) order; the fuzz oracle drives them against each other.
+// Events are queued on a timer wheel (wheel.go) and fire in (at, seq)
+// order; the fuzz oracle checks that order against container/heap.
 type Engine struct {
 	now     Time
 	seq     uint64
 	events  []event // slot slab; EventID.idx and queue entries index it
 	free    []int32 // recycled slab slots
-	heap    []int32 // binary min-heap of slab indices; nil under the wheel
 	wheel   *timerWheel
 	pending int    // live (scheduled, not cancelled) events
 	nEvent  uint64 // total events executed, for reporting
@@ -83,13 +80,12 @@ type Engine struct {
 	rearmed bool  // the executing callback called Rearm
 }
 
-// NewEngine returns an engine with the clock at zero, scheduling on the
-// timer-wheel backend.
+// NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
 	return newEngineWheel(wheelGBits, wheelSlotBits)
 }
 
-// newEngineWheel builds a wheel-backed engine with explicit geometry.
+// newEngineWheel builds an engine with explicit wheel geometry.
 // Tests use tiny wheels to force bucket-boundary, wrap and overflow
 // paths with small timestamps.
 func newEngineWheel(gBits, slotBits uint) *Engine {
@@ -101,75 +97,18 @@ func newEngineWheel(gBits, slotBits uint) *Engine {
 	}
 }
 
-// NewEngineHeap returns an engine scheduling on the slab binary heap —
-// the pre-wheel scheduler, kept as the differential reference
-// (server.Config.HeapSched / altobench -heapsched select it end to end).
-func NewEngineHeap() *Engine {
-	return &Engine{
-		events: make([]event, 0, 1024),
-		free:   make([]int32, 0, 1024),
-		heap:   make([]int32, 0, 1024),
-		firing: -1,
-	}
-}
-
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.nEvent }
 
-// qpush / qpop / qpeekAt / qlen / qcompact dispatch to the active
-// backend. qlen counts queued entries dead included, so the compaction
-// trigger sees the same population either way.
-
-//altolint:hotpath
-func (e *Engine) qpush(i int32) {
-	if e.wheel != nil {
-		e.wpush(i)
-	} else {
-		e.push(i)
-	}
-}
-
-//altolint:hotpath
-func (e *Engine) qpop() int32 {
-	if e.wheel != nil {
-		return e.wpop()
-	}
-	i := e.heap[0]
-	e.popTop()
-	return i
-}
-
-//altolint:hotpath
-func (e *Engine) qpeekAt() (Time, bool) {
-	if e.wheel != nil {
-		return e.wpeekAt()
-	}
-	if len(e.heap) == 0 {
-		return 0, false
-	}
-	return e.events[e.heap[0]].at, true
-}
-
-func (e *Engine) qlen() int {
-	if e.wheel != nil {
-		return e.wlen()
-	}
-	return len(e.heap)
-}
-
 // maybeCompact compacts once dead entries dominate, so
 // cancellation-heavy schedulers (JBSQ re-arms, manager period timers)
 // cannot grow the queue without bound.
 func (e *Engine) maybeCompact() {
-	if n := e.qlen(); n > 1 && n-e.pending > n/2 {
-		if e.wheel != nil {
-			e.wcompact()
-		} else {
-			e.compact()
-		}
+	if n := e.wlen(); n > 1 && n-e.pending > n/2 {
+		e.wcompact()
 	}
 }
 
@@ -246,7 +185,7 @@ func (e *Engine) At(t Time, f func()) EventID {
 	}
 	i := e.alloc(t, f)
 	gen := e.events[i].gen
-	e.qpush(i)
+	e.wpush(i)
 	e.pending++
 	return EventID{eng: e, gen: gen, idx: i}
 }
@@ -271,7 +210,7 @@ func (e *Engine) AtArg(t Time, f func(arg any, n int64), arg any, n int64) Event
 	}
 	i := e.allocArg(t, f, arg, n)
 	gen := e.events[i].gen
-	e.qpush(i)
+	e.wpush(i)
 	e.pending++
 	return EventID{eng: e, gen: gen, idx: i}
 }
@@ -285,8 +224,8 @@ func (e *Engine) AfterArg(d Time, f func(arg any, n int64), arg any, n int64) Ev
 }
 
 // Rearm reschedules the currently executing callback's own event d
-// after now, reusing its slab slot: no free-list round trip, no heap
-// sift on the wheel backend — the O(1) fast path for periodic events
+// after now, reusing its slab slot with no free-list round trip — the
+// O(1) fast path for periodic events
 // (manager Period ticks, rebalance timers). The callback and payload
 // are retained as-is. Ordering is identical to calling After(d, self)
 // at the same program point: the event takes the next sequence number.
@@ -309,7 +248,7 @@ func (e *Engine) Rearm(d Time) EventID {
 	ev.seq = e.seq
 	e.seq++
 	e.rearmed = true
-	e.qpush(i)
+	e.wpush(i)
 	e.pending++
 	return EventID{eng: e, gen: ev.gen, idx: i}
 }
@@ -358,11 +297,11 @@ func (e *Engine) Run(until Time) uint64 {
 	e.stop = false
 	var n uint64
 	for !e.stop {
-		at, ok := e.qpeekAt()
+		at, ok := e.wpeekAt()
 		if !ok || at > until {
 			break
 		}
-		i := e.qpop()
+		i := e.wpop()
 		ev := &e.events[i]
 		if ev.dead {
 			e.dropDead(i)
@@ -374,7 +313,7 @@ func (e *Engine) Run(until Time) uint64 {
 		n++
 		e.nEvent++
 	}
-	if !e.stop && e.now < until && e.qlen() == 0 {
+	if !e.stop && e.now < until && e.wlen() == 0 {
 		e.now = until
 	}
 	return n
@@ -385,8 +324,8 @@ func (e *Engine) Run(until Time) uint64 {
 func (e *Engine) RunAll() uint64 {
 	e.stop = false
 	var n uint64
-	for !e.stop && e.qlen() > 0 {
-		i := e.qpop()
+	for !e.stop && e.wlen() > 0 {
+		i := e.wpop()
 		ev := &e.events[i]
 		if ev.dead {
 			e.dropDead(i)
@@ -485,7 +424,7 @@ func (tm *Timer) Arm(t Time) {
 	ev.act = tm.f
 	ev.dead = false
 	tm.gen = ev.gen
-	e.qpush(tm.idx)
+	e.wpush(tm.idx)
 	e.pending++
 }
 
@@ -501,69 +440,4 @@ func (tm *Timer) Disarm() {
 	ev.dead = true
 	e.pending--
 	e.maybeCompact()
-}
-
-// compact drops dead entries from the heap and restores heap order.
-// Linear in heap size, amortised O(1) per cancellation since it only
-// runs when dead entries outnumber live ones.
-func (e *Engine) compact() {
-	kept := e.heap[:0]
-	for _, i := range e.heap {
-		if e.events[i].dead {
-			e.dropDead(i)
-		} else {
-			kept = append(kept, i)
-		}
-	}
-	e.heap = kept
-	for i := len(e.heap)/2 - 1; i >= 0; i-- {
-		e.siftDown(i)
-	}
-}
-
-// push / popTop implement a classic binary min-heap keyed on (at, seq).
-// Hand-rolled (rather than container/heap) to avoid interface boxing on
-// the hottest path of the heap backend.
-
-func (e *Engine) less(i, j int) bool {
-	return e.entryLess(e.heap[i], e.heap[j])
-}
-
-func (e *Engine) push(idx int32) {
-	e.heap = append(e.heap, idx)
-	i := len(e.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.less(i, parent) {
-			break
-		}
-		e.heap[i], e.heap[parent] = e.heap[parent], e.heap[i]
-		i = parent
-	}
-}
-
-func (e *Engine) popTop() {
-	h := e.heap
-	last := len(h) - 1
-	h[0] = h[last]
-	e.heap = h[:last]
-	e.siftDown(0)
-}
-
-func (e *Engine) siftDown(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(e.heap) && e.less(l, smallest) {
-			smallest = l
-		}
-		if r < len(e.heap) && e.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		e.heap[i], e.heap[smallest] = e.heap[smallest], e.heap[i]
-		i = smallest
-	}
 }

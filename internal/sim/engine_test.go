@@ -150,45 +150,6 @@ func TestEngineCancel(t *testing.T) {
 	}
 }
 
-func TestEngineCancelCompaction(t *testing.T) {
-	// Cancelling the bulk of the queue must shrink the heap (dead-entry
-	// compaction) and keep Pending, a live O(1) counter, exact. Pinned
-	// to the heap backend; TestEngineWheelCancelCompaction covers the
-	// wheel's equivalent bound.
-	e := NewEngineHeap()
-	const n = 10000
-	ids := make([]EventID, 0, n)
-	for i := 0; i < n; i++ {
-		ids = append(ids, e.At(Time(i)*Nanosecond, func() {}))
-	}
-	keep := e.At(Time(n)*Nanosecond, func() {})
-	if e.Pending() != n+1 {
-		t.Fatalf("pending = %d, want %d", e.Pending(), n+1)
-	}
-	for _, id := range ids {
-		id.Cancel()
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending after cancel = %d, want 1", e.Pending())
-	}
-	// Compaction triggers once dead entries outnumber live ones, so the
-	// heap must have shed the 10k cancelled events, not retained them
-	// until pop time.
-	if len(e.heap) >= n/2 {
-		t.Fatalf("heap length %d after cancelling %d events; compaction did not run", len(e.heap), n)
-	}
-	fired := 0
-	e.RunAll()
-	_ = keep
-	if e.nEvent != 1 {
-		t.Fatalf("executed %d events, want 1 (the survivor)", e.nEvent)
-	}
-	_ = fired
-	if e.Pending() != 0 {
-		t.Fatalf("pending after drain = %d", e.Pending())
-	}
-}
-
 func TestEngineSlotRecycling(t *testing.T) {
 	// A fired event's slot is recycled; a stale id for it must not be
 	// able to cancel the new occupant (generation guard).
@@ -256,7 +217,7 @@ func TestEngineStop(t *testing.T) {
 // the clock at that event, not at the Run horizon (a drained queue
 // without Stop still advances it, see TestEngineIdleClockAdvance).
 func TestEngineStopKeepsClock(t *testing.T) {
-	for _, e := range []*Engine{NewEngine(), NewEngineHeap()} {
+	for _, e := range []*Engine{NewEngine(), newEngineWheel(4, 3)} {
 		e.At(7*Nanosecond, e.Stop)
 		e.Run(Second)
 		if e.Now() != 7*Nanosecond || e.Pending() != 0 {

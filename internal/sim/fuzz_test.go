@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// The fuzzer drives the slab binary heap, the production timer wheel,
-// and a deliberately tiny wheel (16-tick buckets, 8 slots, so the fuzz
-// inputs constantly cross bucket boundaries and overflow into the far
-// heap) through the same schedule/cancel/run script decoded from the
-// fuzz input, then demands all three match a container/heap oracle on
-// firing order, firing times, clock, and pending counts. Chained
+// The fuzzer drives the production timer wheel and a deliberately tiny
+// wheel (16-tick buckets, 8 slots, so the fuzz inputs constantly cross
+// bucket boundaries and overflow into the far heap) through the same
+// schedule/cancel/run script decoded from the fuzz input, then demands
+// both match a container/heap oracle on firing order, firing times,
+// clock, and pending counts. Chained
 // schedules (callbacks that schedule from inside the event loop)
 // exercise the release-before-run slot reuse; cancels of stale ids
 // exercise the generation guard; far-horizon deltas (raw%7==3 scales
@@ -125,8 +125,8 @@ func (o *oracle) run(until Time, all bool) {
 }
 
 // rig wraps one Engine under differential test with its own firing log
-// and id table, so several scheduler backends can replay the same
-// script independently.
+// and id table, so several wheel geometries can replay the same script
+// independently.
 type rig struct {
 	name   string
 	eng    *Engine
@@ -158,7 +158,7 @@ func (r *rig) schedule(delta, chain Time) {
 	r.ids[id] = r.eng.At(r.eng.Now()+delta, r.mkAct(id, chain))
 }
 
-func FuzzEngineHeap(f *testing.F) {
+func FuzzEngine(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 0, 0, 5, 0, 2, 20, 0})
 	f.Add([]byte{0, 1, 0, 3, 0, 2, 0, 1, 0, 0, 3})
 	f.Add([]byte{0, 0, 128, 0, 0, 1, 1, 0, 3, 1, 0})
@@ -177,7 +177,6 @@ func FuzzEngineHeap(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		o := newOracle()
 		rigs := []*rig{
-			newRig("heap", NewEngineHeap()),
 			newRig("wheel", NewEngine()),
 			// Tiny wheel: 2^4-tick buckets, 2^3 slots — a 128-tick
 			// window that the 16-bit deltas overflow constantly.

@@ -2,7 +2,7 @@ package sim
 
 import "math/bits"
 
-// timerWheel is the default event scheduler backend: a single-level
+// timerWheel is the engine's event queue: a single-level
 // calendar queue (timer wheel) for the dense near-horizon band, with a
 // binary-heap overflow ("far heap") for long-horizon events.
 //
@@ -31,8 +31,8 @@ import "math/bits"
 //     sorting a slot before its bucket is due.
 //   - curq is the cursor bucket's drain buffer: the slot's entries are
 //     moved there and sorted by (at, seq) when the cursor lands on the
-//     bucket, restoring the global FIFO tie-break order the heap backend
-//     provides. In-bucket pushes (d < G) insert in order directly.
+//     bucket, restoring the global (at, seq) FIFO tie-break order.
+//     In-bucket pushes (d < G) insert in order directly.
 //
 // Peek never mutates the cursor: base only advances inside wpop, when a
 // pop is guaranteed, so a Run(until) that stops short of the next event
@@ -76,8 +76,8 @@ func newWheel(gBits, slotBits uint) *timerWheel {
 
 func (w *timerWheel) slotOf(at Time) int { return int(at>>w.gBits) & w.slotMask }
 
-// entryLess orders slab entries by (at, seq) — the FIFO tie-break both
-// backends share. seq is unique, so this is a strict total order.
+// entryLess orders slab entries by (at, seq) — the engine's FIFO
+// tie-break. seq is unique, so this is a strict total order.
 //
 //altolint:hotpath
 func (e *Engine) entryLess(a, b int32) bool {
@@ -395,9 +395,8 @@ func (e *Engine) wpeekAt() (Time, bool) {
 	return 0, false
 }
 
-// wlen counts queued entries, dead included — the same population the
-// heap backend's len(heap) reports, so the compaction trigger behaves
-// identically on both backends.
+// wlen counts queued entries, dead included — the population the
+// compaction trigger compares against the live count.
 func (e *Engine) wlen() int { return e.wheel.count + len(e.wheel.far) }
 
 // wcompact drops dead entries from the drain buffer, the ring and the

@@ -5,20 +5,20 @@ import (
 	"testing"
 )
 
-// TestEngineWheelRandomEquivalence is the randomized wheel-vs-heap
-// equivalence property test: the slab heap, the production wheel and a
-// tiny wheel replay identical random scripts (near, far, past and
-// chained schedules; cancels; bounded runs; drains) and must agree on
-// the clock, the pending count and the complete firing log.
+// TestEngineWheelRandomEquivalence is the randomized wheel-vs-oracle
+// equivalence property test: the production wheel and a tiny wheel
+// replay identical random scripts (near, far, past and chained
+// schedules; cancels; bounded runs; drains) and must agree with the
+// container/heap oracle of fuzz_test.go on the clock, the pending count
+// and the complete firing log.
 func TestEngineWheelRandomEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		ref := newOracle()
 		rigs := []*rig{
-			newRig("heap", NewEngineHeap()),
 			newRig("wheel", NewEngine()),
 			newRig("wheel4x3", newEngineWheel(4, 3)),
 		}
-		ref := rigs[0]
 		for op := 0; op < 400; op++ {
 			switch k := rng.Intn(10); {
 			case k < 5: // schedule
@@ -40,42 +40,47 @@ func TestEngineWheelRandomEquivalence(t *testing.T) {
 				for _, r := range rigs {
 					r.schedule(delta, chain)
 				}
+				ref.schedule(ref.now+delta, chain)
 			case k < 7: // cancel a random id, possibly stale
 				if ref.nextID > 0 {
 					id := rng.Intn(ref.nextID)
 					for _, r := range rigs {
 						r.ids[id].Cancel()
 					}
+					ref.cancel(id)
 				}
 			case k < 9: // bounded run
 				d := Time(rng.Intn(1 << 23))
 				for _, r := range rigs {
 					r.eng.Run(r.eng.Now() + d)
 				}
+				ref.run(ref.now+d, false)
 			default: // drain
 				for _, r := range rigs {
 					r.eng.RunAll()
 				}
+				ref.run(0, true)
 			}
-			for _, r := range rigs[1:] {
-				if r.eng.Now() != ref.eng.Now() {
-					t.Fatalf("seed %d op %d: [%s] Now() = %v, [heap] %v", seed, op, r.name, r.eng.Now(), ref.eng.Now())
+			for _, r := range rigs {
+				if r.eng.Now() != ref.now {
+					t.Fatalf("seed %d op %d: [%s] Now() = %v, oracle %v", seed, op, r.name, r.eng.Now(), ref.now)
 				}
-				if r.eng.Pending() != ref.eng.Pending() {
-					t.Fatalf("seed %d op %d: [%s] Pending() = %d, [heap] %d", seed, op, r.name, r.eng.Pending(), ref.eng.Pending())
+				if r.eng.Pending() != ref.pending {
+					t.Fatalf("seed %d op %d: [%s] Pending() = %d, oracle %d", seed, op, r.name, r.eng.Pending(), ref.pending)
 				}
 			}
 		}
 		for _, r := range rigs {
 			r.eng.RunAll()
 		}
-		for _, r := range rigs[1:] {
+		ref.run(0, true)
+		for _, r := range rigs {
 			if len(r.log) != len(ref.log) {
-				t.Fatalf("seed %d: [%s] fired %d events, [heap] fired %d", seed, r.name, len(r.log), len(ref.log))
+				t.Fatalf("seed %d: [%s] fired %d events, oracle fired %d", seed, r.name, len(r.log), len(ref.log))
 			}
 			for i := range r.log {
 				if r.log[i] != ref.log[i] || r.logAt[i] != ref.logAt[i] {
-					t.Fatalf("seed %d: [%s] diverges at firing %d: id %d at %v, [heap] id %d at %v",
+					t.Fatalf("seed %d: [%s] diverges at firing %d: id %d at %v, oracle id %d at %v",
 						seed, r.name, i, r.log[i], r.logAt[i], ref.log[i], ref.logAt[i])
 				}
 			}
@@ -83,17 +88,16 @@ func TestEngineWheelRandomEquivalence(t *testing.T) {
 	}
 }
 
-// TestEngineFastForward pins the empty-wheel fast-forward semantics
-// against the heap engine: a Run whose horizon stops short of the only
-// (far) event fires nothing and leaves the clock alone; a Run past it
-// fires it in one jump and parks the clock at the horizon; RunAll
-// leaves the clock on the last event.
+// TestEngineFastForward pins the empty-wheel fast-forward semantics on
+// the production and the tiny wheel: a Run whose horizon stops short of
+// the only (far) event fires nothing and leaves the clock alone; a Run
+// past it fires it in one jump and parks the clock at the horizon;
+// RunAll leaves the clock on the last event.
 func TestEngineFastForward(t *testing.T) {
 	backends := []struct {
 		name string
 		eng  *Engine
 	}{
-		{"heap", NewEngineHeap()},
 		{"wheel", NewEngine()},
 		{"wheel4x3", newEngineWheel(4, 3)},
 	}
@@ -127,10 +131,9 @@ func TestEngineFastForward(t *testing.T) {
 	}
 }
 
-// TestEngineWheelCancelCompaction is the wheel-side twin of
-// TestEngineCancelCompaction: cancelling the bulk of a queue spanning
-// the ring and the far heap must compact dead entries away and keep
-// Pending exact.
+// TestEngineWheelCancelCompaction: cancelling the bulk of a queue
+// spanning the ring and the far heap must compact dead entries away and
+// keep Pending exact.
 func TestEngineWheelCancelCompaction(t *testing.T) {
 	e := NewEngine()
 	const n = 4096
@@ -152,7 +155,7 @@ func TestEngineWheelCancelCompaction(t *testing.T) {
 	if e.Pending() != live {
 		t.Fatalf("Pending() = %d, want %d", e.Pending(), live)
 	}
-	if q := e.qlen(); q > 2*live {
+	if q := e.wlen(); q > 2*live {
 		t.Fatalf("wheel kept %d entries for %d live events: compaction did not run", q, live)
 	}
 	if got := e.RunAll(); got != uint64(live) || fired != live {

@@ -26,7 +26,7 @@
 #   6. coverage ratchet the invariant-bearing packages (internal/sim,
 #                      internal/sched, internal/check) must stay above
 #                      their recorded coverage floors
-#   7. fuzz smoke      40s total of FuzzEngineHeap (event heap vs
+#   7. fuzz smoke      40s total of FuzzEngine (event wheel vs
 #                      container/heap oracle), FuzzTraceRoundTrip
 #                      (CSV/JSONL codec round trip), FuzzPhaseRoundTrip
 #                      (phase-boundary sidecar codec), and FuzzStore (the
@@ -139,7 +139,7 @@ check_cover ./internal/sched 82
 check_cover ./internal/check 86
 
 echo "== fuzz smoke (40s)"
-go test ./internal/sim -run '^$' -fuzz '^FuzzEngineHeap$' -fuzztime 10s >/dev/null
+go test ./internal/sim -run '^$' -fuzz '^FuzzEngine$' -fuzztime 10s >/dev/null
 go test ./internal/trace -run '^$' -fuzz '^FuzzTraceRoundTrip$' -fuzztime 10s >/dev/null
 go test ./internal/trace -run '^$' -fuzz '^FuzzPhaseRoundTrip$' -fuzztime 10s >/dev/null
 go test ./internal/mica -run '^$' -fuzz '^FuzzStore$' -fuzztime 10s >/dev/null
