@@ -700,6 +700,7 @@ type phaseForwardRig struct {
 	eng *sim.Engine
 	s   *core.Scheduler
 	req rpcproto.Request
+	vec rpcproto.PhaseVec // req's phase sidecar, reused like req
 }
 
 func newPhaseForwardRig(tb testing.TB) *phaseForwardRig {
@@ -719,7 +720,8 @@ func newPhaseForwardRig(tb testing.TB) *phaseForwardRig {
 
 func (rg *phaseForwardRig) drive(id uint64) {
 	r := &rg.req
-	*r = rpcproto.Request{ID: id, Conn: uint32(id), Arrival: rg.eng.Now(), NumPhases: 3}
+	rg.vec = rpcproto.PhaseVec{}
+	*r = rpcproto.Request{ID: id, Conn: uint32(id), Arrival: rg.eng.Now(), NumPhases: 3, PhaseVec: &rg.vec}
 	for i := 0; i < 3; i++ {
 		r.PhaseSvc[i] = 200 * sim.Nanosecond
 		r.PhaseAcc[i] = 200 * sim.Nanosecond
@@ -750,6 +752,70 @@ func BenchmarkPhaseForward(b *testing.B) {
 	if rg.s.Stats.PhaseForwards < 2*uint64(b.N) {
 		b.Fatalf("forwards %d < %d: chains not crossing class boundaries", rg.s.Stats.PhaseForwards, 2*b.N)
 	}
+}
+
+// migrateBatchRig is a warm homogeneous AC machine (4 groups x 2
+// workers, hardware messaging) with sixteen preallocated requests
+// recycled through it. Each drive() lands the whole burst on group 0,
+// whose manager sees a Hill and spreads the queue tail over the idle
+// groups in MIGRATE batches — stage, send FIFO, NoC, receive FIFO,
+// drain, ACK — and runs the engine until every request has completed.
+type migrateBatchRig struct {
+	eng  *sim.Engine
+	s    *core.Scheduler
+	reqs [16]rpcproto.Request
+	done int
+}
+
+func newMigrateBatchRig(tb testing.TB) *migrateBatchRig {
+	tb.Helper()
+	rg := &migrateBatchRig{eng: sim.NewEngine()}
+	st := nic.NewSteerer(nic.SteerDirect, 4, nil)
+	s, err := core.New(rg.eng, core.DefaultParams(4, 2), fabric.Default(), st, func(*rpcproto.Request) { rg.done++ })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rg.s = s
+	return rg
+}
+
+func (rg *migrateBatchRig) drive(tb testing.TB) {
+	rg.done = 0
+	for i := range rg.reqs {
+		r := &rg.reqs[i]
+		*r = rpcproto.Request{ID: uint64(i), Conn: 0, Arrival: rg.eng.Now(), Service: sim.Microsecond, Size: 300}
+		rg.s.Deliver(r)
+	}
+	rg.eng.Run(rg.eng.Now() + 20*sim.Microsecond)
+	if rg.done != len(rg.reqs) {
+		tb.Fatalf("burst completed %d of %d requests", rg.done, len(rg.reqs))
+	}
+}
+
+// BenchmarkMigrateBatch measures one skewed 16-request burst rebalanced
+// by MIGRATE on the warm 4-group machine, ~400 manager ticks per 20 us
+// window included. Watch allocs/op: the pooled migration records and
+// the FIFO rings make it 0 (TestMigrateZeroAlloc in internal/core is the
+// hard gate; this records the trend in BENCH_sim.json). batches/op says
+// how many MIGRATEs an op carried.
+func BenchmarkMigrateBatch(b *testing.B) {
+	rg := newMigrateBatchRig(b)
+	for i := 0; i < 64; i++ { // warm the event pool, queues, MR slots and record pool
+		rg.drive(b)
+	}
+	before := rg.s.Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rg.drive(b)
+	}
+	b.StopTimer()
+	rg.s.Stop()
+	batches := rg.s.Stats.Migrations - before.Migrations
+	if batches < uint64(b.N) || rg.s.Stats.MigratedReqs == before.MigratedReqs {
+		b.Fatalf("%d MIGRATEs over %d bursts: the skew is not being migrated", batches, b.N)
+	}
+	b.ReportMetric(float64(batches)/float64(b.N), "batches/op")
 }
 
 // TestPhaseForwardZeroAlloc is the hard zero-allocation gate on the

@@ -53,6 +53,12 @@ type slot struct {
 // //altolint:fleet-boundary rule that no simulator state crosses workers.
 type Arena struct {
 	chunks [][]slot
+	// phases[c][i] is the phase sidecar of slot chunks[c][i], so a sidecar
+	// is recycled with its slot and needs no free list of its own. A chunk
+	// of sidecars exists only once a slot of its chunk carried a phased
+	// request: an arena that never does (bare workloads, the live data
+	// plane) holds none.
+	phases [][]rpcproto.PhaseVec
 	free   []RequestID
 	live   int
 }
@@ -90,6 +96,31 @@ func (a *Arena) Acquire() (*rpcproto.Request, RequestID) {
 	return &s.req, id
 }
 
+// AcquirePhased is Acquire for a request that will carry phase vectors:
+// the slot's sidecar is zeroed — as Acquire's request is — and attached.
+// The sidecar is the arena's and goes back with the slot at Release, so
+// a copy of the request that outlives the slot must be given a sidecar
+// of its own. A caller that ends up with NumPhases == 0 drops it by
+// setting PhaseVec to nil, keeping the attached-iff-phased invariant.
+//
+//altolint:hotpath
+func (a *Arena) AcquirePhased() (*rpcproto.Request, RequestID) {
+	r, id := a.Acquire()
+	c, i := id.idx/chunkSize, id.idx%chunkSize
+	for int(c) >= len(a.phases) {
+		//altolint:allow hotalloc one nil entry per 256 slots; steady state recycles the free list
+		a.phases = append(a.phases, nil)
+	}
+	if a.phases[c] == nil {
+		//altolint:allow hotalloc one whole-chunk allocation per 256 phased slots; steady state recycles the free list
+		a.phases[c] = make([]rpcproto.PhaseVec, chunkSize)
+	}
+	pv := &a.phases[c][i]
+	*pv = rpcproto.PhaseVec{}
+	r.PhaseVec = pv
+	return r, id
+}
+
 // Get returns the request for id, or nil if the handle is stale (the
 // slot was released, possibly reissued to a different request).
 //
@@ -119,7 +150,7 @@ func (a *Arena) Release(id RequestID) bool {
 	if s.gen != id.gen {
 		return false
 	}
-	s.req = rpcproto.Request{} // drop Payload/OnExecute references
+	s.req = rpcproto.Request{} // drop Payload/OnExecute/sidecar references
 	s.gen++                    // live (odd) -> free (even): outstanding handles go stale
 	//altolint:allow hotalloc amortized free-list growth; bounded by the high-water mark of live requests
 	a.free = append(a.free, RequestID{idx: id.idx})

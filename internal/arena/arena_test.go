@@ -202,3 +202,52 @@ func BenchmarkArenaAcquireRelease(b *testing.B) {
 		a.Release(id)
 	}
 }
+
+// TestAcquirePhasedSidecar: a phased slot's sidecar arrives zeroed, is
+// the slot's own across reuse, is distinct from every other live slot's,
+// and a plain Acquire of the same slot carries none.
+func TestAcquirePhasedSidecar(t *testing.T) {
+	a := New()
+	if r, _ := a.Acquire(); r.PhaseVec != nil {
+		t.Fatal("plain Acquire attached a sidecar")
+	}
+	if len(a.phases) != 0 {
+		t.Fatal("an arena without phased requests made sidecar chunks")
+	}
+	const n = chunkSize + 3 // spills into a second chunk
+	seen := make(map[*rpcproto.PhaseVec]bool, n)
+	ids := make([]RequestID, n)
+	vecs := make([]*rpcproto.PhaseVec, n)
+	for i := range ids {
+		var r *rpcproto.Request
+		r, ids[i] = a.AcquirePhased()
+		if r.PhaseVec == nil || seen[r.PhaseVec] {
+			t.Fatalf("slot %d: sidecar %p nil or shared", i, r.PhaseVec)
+		}
+		seen[r.PhaseVec] = true
+		vecs[i] = r.PhaseVec
+		r.NumPhases = 2
+		r.PhaseSvc[1], r.PhaseEnd[rpcproto.MaxPhases-1], r.PhaseClass[0] = 7, 9, 1
+	}
+	for i := range ids {
+		if !a.Release(ids[i]) {
+			t.Fatalf("release %d failed", i)
+		}
+	}
+	// The free list is LIFO: slots come back in reverse, each with the
+	// sidecar it had, scrubbed.
+	for i := n - 1; i >= 0; i-- {
+		r, id := a.AcquirePhased()
+		if id.idx != ids[i].idx || r.PhaseVec != vecs[i] {
+			t.Fatalf("slot %d came back as slot %d with sidecar %p, want %p", ids[i].idx, id.idx, r.PhaseVec, vecs[i])
+		}
+		if *r.PhaseVec != (rpcproto.PhaseVec{}) {
+			t.Fatalf("slot %d: recycled sidecar not zeroed: %+v", id.idx, *r.PhaseVec)
+		}
+		ids[i] = id
+	}
+	a.Release(ids[0])
+	if r, _ := a.Acquire(); r.PhaseVec != nil {
+		t.Fatal("plain Acquire of a once-phased slot kept its sidecar attached")
+	}
+}

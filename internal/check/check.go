@@ -163,7 +163,9 @@ func (q *shadowQ) popHead() (uint64, bool) {
 	}
 	id := q.buf[q.head]
 	q.head++
-	if q.head > 64 && q.head*2 >= len(q.buf) {
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0 // drained: refill from the front
+	} else if q.head > 64 && q.head*2 >= len(q.buf) {
 		q.buf = append(q.buf[:0], q.buf[q.head:]...)
 		q.head = 0
 	}

@@ -11,7 +11,7 @@ import (
 // phasedReq builds a 2-phase chain: 300 ns + 700 ns base, the second
 // phase accelerator-affine at 200 ns.
 func phasedReq(id uint64) *rpcproto.Request {
-	r := &rpcproto.Request{ID: id, NumPhases: 2}
+	r := &rpcproto.Request{ID: id, NumPhases: 2, PhaseVec: &rpcproto.PhaseVec{}}
 	r.PhaseSvc[0], r.PhaseAcc[0] = 300*sim.Nanosecond, 300*sim.Nanosecond
 	r.PhaseSvc[1], r.PhaseAcc[1] = 700*sim.Nanosecond, 200*sim.Nanosecond
 	r.PhaseClass[1] = 1

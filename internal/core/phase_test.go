@@ -14,7 +14,7 @@ import (
 // phasedReq builds a 3-phase request whose middle phase is affine to
 // class 1 with a 4x speedup and an offload cost.
 func phasedReq(id uint64, conn uint32, at sim.Time) *rpcproto.Request {
-	r := &rpcproto.Request{ID: id, Conn: conn, Arrival: at, NumPhases: 3}
+	r := &rpcproto.Request{ID: id, Conn: conn, Arrival: at, NumPhases: 3, PhaseVec: &rpcproto.PhaseVec{}}
 	durs := [3]sim.Time{100 * sim.Nanosecond, 400 * sim.Nanosecond, 100 * sim.Nanosecond}
 	for i, d := range durs {
 		r.PhaseSvc[i] = d

@@ -107,6 +107,10 @@ type Scheduler struct {
 	// permutation lives in each group's RankTracker.
 	destScratch []int
 
+	// freeMigs recycles MIGRATE records (migration.go); it grows to the
+	// high-water mark of batches in flight.
+	freeMigs []*migration
+
 	// Heterogeneous-group state (DESIGN.md §15), nil/1 when every group
 	// is class 0 so homogeneous runs never touch it: the per-class group
 	// lists, per-class load meters and planning table (threshold model +
@@ -262,7 +266,10 @@ func (s *Scheduler) Deliver(r *rpcproto.Request) {
 		// Heterogeneous groups: the NIC steers by class-oblivious hash,
 		// so remap onto the groups serving the first phase's class
 		// (deterministically, preserving the steerer's spread).
-		cls := int(r.PhaseClass[0]) // 0 for unphased requests
+		cls := 0 // a bare request has no sidecar and runs on the general class
+		if r.NumPhases > 0 {
+			cls = int(r.PhaseClass[0])
+		}
 		if cls < s.classes && int(g.class) != cls {
 			lst := s.classGroups[cls]
 			g = s.groups[lst[g.id%len(lst)]]
@@ -563,7 +570,10 @@ func (s *Scheduler) decide(g *group, t, qlen int) []int {
 // sendMigrate builds and injects one MIGRATE of up to batch requests from
 // g's NetRX tail toward dst (§V-A message walk-through). dstView is g's
 // synchronized view of dst's queue length (peer-indexed, supplied by the
-// caller).
+// caller). The batch rides a pooled migration record through its
+// protocol events, so the steady-state path allocates nothing.
+//
+//altolint:hotpath
 func (s *Scheduler) sendMigrate(g, dst *group, dstView, batch int) {
 	if dst.id == g.id {
 		return
@@ -584,6 +594,7 @@ func (s *Scheduler) sendMigrate(g, dst *group, dstView, batch int) {
 	// migrate-once restriction: collection stops at the first
 	// already-migrated candidate.
 	fromTail := s.P.Select != SelectHead
+	//altolint:allow hotalloc the predicate does not outlive MigratableCount, so it stays on the stack (TestMigrateZeroAlloc)
 	count := policy.MigratableCount(srcLen, batch, func(i int) bool {
 		var r *rpcproto.Request
 		if fromTail {
@@ -595,61 +606,52 @@ func (s *Scheduler) sendMigrate(g, dst *group, dstView, batch int) {
 		// latch at every phase boundary (policy.CanMigrate).
 		return !policy.CanMigrate(r.Migrated, s.P.AllowRemigration)
 	})
-	reqs := make([]*rpcproto.Request, 0, batch)
-	for len(reqs) < count {
+	if count == 0 {
+		return
+	}
+	m := s.newMigration(g, dst, batch)
+	defer m.release() // the builder's hold; the FIFO and the events take their own
+	for i := 0; i < count; i++ {
 		var r *rpcproto.Request
 		if fromTail {
 			r = g.netrx.PopTail()
 		} else {
 			r = g.netrx.PopHead()
 		}
-		reqs = append(reqs, r)
+		m.reqs[i] = r
+		m.descs[i] = rpcproto.DescriptorFor(r)
 		if s.probe != nil {
 			s.probe.OnDequeue(r, g.id, fromTail)
 		}
 	}
-	if len(reqs) == 0 {
-		return
-	}
-	putBack := func() {
-		// Return the requests to the tail; exact original positions are
-		// not recoverable for head-selected batches, and the hardware
-		// would re-enqueue at the tail regardless.
-		for i := len(reqs) - 1; i >= 0; i-- {
-			if s.probe != nil {
-				s.probe.OnRequeue(reqs[i], g.id, sched.RequeueNack, g.netrx.Len())
-			}
-			g.netrx.PushTail(reqs[i])
-		}
-	}
-	descs := make([]rpcproto.Descriptor, len(reqs))
-	for i, r := range reqs {
-		descs[i] = rpcproto.DescriptorFor(r)
-	}
-	if err := g.mr.Stage(descs); err != nil {
+	m.Reqs, m.Descs = m.reqs[:count], m.descs[:count]
+	if err := g.mr.Stage(m.Descs); err != nil {
 		s.Stats.MRFullAborts++
-		putBack()
+		m.putBack()
 		return
 	}
-	m := &hwmsg.Migrate{SrcMid: g.id, DstMid: dst.id, Descs: descs, Reqs: reqs}
 	if err := g.send.Push(m); err != nil {
 		s.Stats.FIFOFull++
-		g.mr.Invalidate(len(descs))
-		putBack()
+		g.mr.Invalidate(len(m.Descs))
+		m.putBack()
 		return
 	}
+	m.holds++ // send-FIFO residency
 	s.Stats.Migrations++
 	now := s.eng.Now()
 	injectDone, arrive := s.msgSend(g, dst.tile, m.WireSize())
 	// The send-FIFO entry frees once the migrator has injected the batch
 	// into the NoC.
-	s.eng.At(now+injectDone, func() { g.send.Pop() })
-	s.eng.At(now+arrive, func() { s.receiveMigrate(g, dst, m) })
+	m.at(now+injectDone, migInjected)
+	m.at(now+arrive, migArrived)
 }
 
 // receiveMigrate is the destination controller's path: validate, admit
 // into the receive FIFO or NACK, drain into the NetRX tail, ACK.
-func (s *Scheduler) receiveMigrate(src, dst *group, m *hwmsg.Migrate) {
+//
+//altolint:hotpath
+func (s *Scheduler) receiveMigrate(m *migration) {
+	src, dst := m.src, m.dst
 	now := s.eng.Now()
 	if err := dst.recv.Push(m); err != nil {
 		// Destination full: NACK. The source does not replay; the
@@ -658,37 +660,16 @@ func (s *Scheduler) receiveMigrate(src, dst *group, m *hwmsg.Migrate) {
 		s.Stats.NackedBatches++
 		s.Stats.NackedReqs += uint64(len(m.Reqs))
 		_, backAt := s.msgSend(dst, src.tile, hwmsg.AckWireSize)
-		s.eng.At(now+backAt, func() {
-			src.mr.Invalidate(len(m.Descs))
-			for _, r := range m.Reqs {
-				if s.probe != nil {
-					s.probe.OnRequeue(r, src.id, sched.RequeueNack, src.netrx.Len())
-				}
-				src.netrx.PushTail(r)
-			}
-			s.dispatch(src)
-		})
+		m.at(now+backAt, migNacked)
 		return
 	}
+	m.holds++ // receive-FIFO residency
 	// Migrator drains the receive FIFO into the NetRX: one register move
 	// per descriptor.
-	drain := sim.Time(len(m.Descs)) * sim.Nanosecond
-	s.eng.After(drain, func() {
-		dst.recv.Pop()
-		for _, r := range m.Reqs {
-			r.Migrated = true
-			r.Enq = s.eng.Now()
-			if s.probe != nil {
-				s.probe.OnRequeue(r, dst.id, sched.RequeueMigrate, dst.netrx.Len())
-			}
-			dst.netrx.PushTail(r)
-		}
-		s.Stats.MigratedReqs += uint64(len(m.Reqs))
-		s.dispatch(dst)
-	})
+	m.at(now+sim.Time(len(m.Descs))*sim.Nanosecond, migDrained)
 	// ACK back to the source, which then invalidates its MR entries.
 	_, ackAt := s.msgSend(dst, src.tile, hwmsg.AckWireSize)
-	s.eng.At(now+ackAt, func() { src.mr.Invalidate(len(m.Descs)) })
+	m.at(now+ackAt, migAcked)
 }
 
 // phaseAdvance is the executor's OnPhase seam (DESIGN.md §15), called

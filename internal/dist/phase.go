@@ -69,10 +69,13 @@ func (p *PhaseProfile) Len() int { return len(p.Phases) }
 // sample per phase, in phase order (the RNG sequence golden traces
 // lock down), affine durations pre-scaled by the speedup, and Service
 // set to the base sum. A one-phase profile consumes exactly one draw —
-// the same stream a bare ServiceDist would.
+// the same stream a bare ServiceDist would. The vectors go to r's phase
+// sidecar: the server's generator attaches an arena-owned one first, and
+// a request that comes without gets one from the heap.
 //
 //altolint:hotpath
 func (p *PhaseProfile) Apply(r *rpcproto.Request, rng *sim.RNG) {
+	r.EnsurePhases()
 	r.NumPhases = uint8(len(p.Phases))
 	var total sim.Time
 	for i, ph := range p.Phases {

@@ -155,7 +155,10 @@ func (c *Core) fire() {
 		c.Start(r, 0, done, preempted)
 		return
 	}
-	r.PhaseEnd[r.Phase] = now
+	if r.NumPhases > 0 {
+		// A bare request has no phase sidecar to stamp.
+		r.PhaseEnd[r.Phase] = now
+	}
 	r.Finish = now
 	done(r)
 }
@@ -184,6 +187,13 @@ func (q *Deque) PopHead() *rpcproto.Request {
 	r := q.buf[q.head]
 	q.buf[q.head] = nil
 	q.head++
+	if q.head == len(q.buf) {
+		// Drained: start over at the front, so a queue that keeps emptying
+		// (a worker's local queue) never outgrows its deepest backlog.
+		q.buf = q.buf[:0]
+		q.head = 0
+		return r
+	}
 	// Compact once the dead prefix dominates, to bound memory.
 	if q.head > 64 && q.head*2 >= len(q.buf) {
 		n := copy(q.buf, q.buf[q.head:])

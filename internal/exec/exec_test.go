@@ -166,6 +166,25 @@ func TestDequeCompaction(t *testing.T) {
 	}
 }
 
+// TestDequeDrainedStartsOver: a queue that keeps emptying, as a worker's
+// local queue does, must not grow with the requests that passed through
+// it. Every run makes its queues anew, so growth here is per-run
+// allocation.
+func TestDequeDrainedStartsOver(t *testing.T) {
+	var q Deque
+	r := &rpcproto.Request{}
+	for i := 0; i < 1000; i++ {
+		q.PushTail(r)
+		q.PushTail(r)
+		if q.PopHead() != r || q.PopHead() != r || q.PopHead() != nil {
+			t.Fatalf("pass %d: queue of two did not pop two", i)
+		}
+	}
+	if c := cap(q.buf); c > 2 {
+		t.Fatalf("backing array grew to %d entries for a backlog of 2", c)
+	}
+}
+
 func TestDequeMixedOpsProperty(t *testing.T) {
 	// Property: Deque behaves like a reference slice under a random op
 	// sequence of pushTail/popHead/popTail.

@@ -84,18 +84,33 @@ const AckWireSize = 4
 // entry.
 var ErrFull = errors.New("hwmsg: buffer full")
 
+// Batch is what a FIFO queues: a MIGRATE occupying some number of
+// descriptor entries. *Migrate is one; the runtime queues its pooled
+// migration records, which embed a Migrate, and gets them back from Pop.
+type Batch interface {
+	Entries() int
+}
+
+// Entries implements Batch: one FIFO entry per descriptor.
+func (m *Migrate) Entries() int { return len(m.Descs) }
+
 // FIFO is a bounded in-order buffer of MIGRATE batches (the send and
 // receive FIFOs of Fig. 6). Capacity is counted in descriptor entries,
-// matching the paper's sizing (16 entries × 14 B = 224 B per FIFO).
+// matching the paper's sizing (16 entries × 14 B = 224 B per FIFO). The
+// batches sit in a ring fixed at construction: a MIGRATE carries at
+// least one descriptor, so capacity positions hold any admissible
+// backlog and Push never allocates.
 type FIFO struct {
 	capacity int
 	used     int
-	batches  []*Migrate
+	ring     []Batch
+	head     int // ring index of the oldest batch
+	n        int // queued batches
 }
 
 // NewFIFO returns a FIFO holding up to capacity descriptor entries.
 func NewFIFO(capacity int) *FIFO {
-	return &FIFO{capacity: capacity}
+	return &FIFO{capacity: capacity, ring: make([]Batch, capacity)}
 }
 
 // Capacity returns the entry capacity.
@@ -108,31 +123,34 @@ func (f *FIFO) Used() int { return f.used }
 func (f *FIFO) Free() int { return f.capacity - f.used }
 
 // Push enqueues a batch if its descriptors fit, else returns ErrFull
-// without partial admission (a MIGRATE is admitted atomically).
-func (f *FIFO) Push(m *Migrate) error {
-	n := len(m.Descs)
-	if n > f.Free() {
+// without partial admission (a MIGRATE is admitted atomically). An empty
+// batch still takes a ring position.
+func (f *FIFO) Push(b Batch) error {
+	n := b.Entries()
+	if n > f.Free() || f.n == len(f.ring) {
 		return ErrFull
 	}
 	f.used += n
-	f.batches = append(f.batches, m)
+	f.ring[(f.head+f.n)%len(f.ring)] = b
+	f.n++
 	return nil
 }
 
 // Pop dequeues the oldest batch, or nil when empty.
-func (f *FIFO) Pop() *Migrate {
-	if len(f.batches) == 0 {
+func (f *FIFO) Pop() Batch {
+	if f.n == 0 {
 		return nil
 	}
-	m := f.batches[0]
-	f.batches[0] = nil
-	f.batches = f.batches[1:]
-	f.used -= len(m.Descs)
-	return m
+	b := f.ring[f.head]
+	f.ring[f.head] = nil
+	f.head = (f.head + 1) % len(f.ring)
+	f.n--
+	f.used -= b.Entries()
+	return b
 }
 
 // Len returns the number of queued batches.
-func (f *FIFO) Len() int { return len(f.batches) }
+func (f *FIFO) Len() int { return f.n }
 
 // MRFile is the migration-register file of a manager tile: a bounded set
 // of descriptor slots staging requests that are candidates for (or in

@@ -91,7 +91,7 @@ func TestFIFOConservation(t *testing.T) {
 			} else {
 				m := fifo.Pop()
 				if m != nil {
-					queued -= len(m.Descs)
+					queued -= m.Entries()
 				}
 			}
 			if fifo.Used() != queued || fifo.Free() != 16-queued {
@@ -102,6 +102,70 @@ func TestFIFOConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFIFORingWrapAround drives four capacities' worth of batches
+// through the fixed ring, so head and tail wrap several times, at
+// changing occupancy and batch sizes.
+func TestFIFORingWrapAround(t *testing.T) {
+	const capacity = 5
+	f := NewFIFO(capacity)
+	var queued []*Migrate // the model: batches in order
+	used := 0
+	check := func(when string) {
+		t.Helper()
+		if f.Len() != len(queued) || f.Used() != used || f.Free() != capacity-used {
+			t.Fatalf("%s: len %d used %d free %d, want %d/%d/%d", when, f.Len(), f.Used(), f.Free(), len(queued), used, capacity-used)
+		}
+	}
+	pushed := 0
+	for i := 0; pushed < 4*capacity; i++ {
+		// Fill to the brim with batches of 1 or 2, then drain one or two.
+		for {
+			m := &Migrate{SrcMid: pushed, Descs: descs(1 + (i+pushed)%2)}
+			if err := f.Push(m); err != nil {
+				if err != ErrFull || len(m.Descs) <= f.Free() {
+					t.Fatalf("push of %d entries with %d free: %v", len(m.Descs), f.Free(), err)
+				}
+				break
+			}
+			queued = append(queued, m)
+			used += len(m.Descs)
+			pushed++
+			check("after push")
+		}
+		for n := 0; n <= i%2 && len(queued) > 0; n++ {
+			if got := f.Pop(); got != queued[0] {
+				t.Fatalf("pop returned batch %v, want %d", got, queued[0].SrcMid)
+			}
+			used -= len(queued[0].Descs)
+			queued = queued[1:]
+			check("after pop")
+		}
+	}
+	for len(queued) > 0 {
+		if got := f.Pop(); got != queued[0] {
+			t.Fatalf("draining: pop returned batch %v, want %d", got, queued[0].SrcMid)
+		}
+		used -= len(queued[0].Descs)
+		queued = queued[1:]
+		check("draining")
+	}
+	if f.Pop() != nil {
+		t.Fatal("pop from the drained ring")
+	}
+	// capacity 1-entry batches fill every ring position; the next is refused.
+	for i := 0; i < capacity; i++ {
+		if err := f.Push(&Migrate{Descs: descs(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Push(&Migrate{Descs: descs(1)}); err != ErrFull {
+		t.Fatalf("push into a full ring: %v", err)
+	}
+	if err := f.Push(&Migrate{}); err != ErrFull {
+		t.Fatalf("empty batch into a ring with no position left: %v", err)
 	}
 }
 

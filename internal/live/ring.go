@@ -155,7 +155,11 @@ func (rr *respRing) fail() {
 // the backlog is drained.
 func (rr *respRing) writeLoop(conn net.Conn) {
 	batch := make([][]byte, 0, 64) // writer-owned; ping-pongs with pending
-	var bufs net.Buffers           // scratch: WriteTo consumes its elements
+	// WriteTo consumes the slice it is called on, capacity included, so it
+	// is handed a header over a backing the writer keeps: vec is refilled
+	// per batch and bufs re-pointed at its start.
+	var vec [][]byte
+	var bufs net.Buffers
 	for {
 		rr.mu.Lock()
 		for _, b := range batch {
@@ -177,7 +181,8 @@ func (rr *respRing) writeLoop(conn net.Conn) {
 		rr.mu.Unlock()
 
 		if !failed {
-			bufs = append(bufs[:0], batch...)
+			vec = append(vec[:0], batch...)
+			bufs = vec
 			if _, err := bufs.WriteTo(conn); err != nil {
 				rr.fail()
 			}

@@ -80,19 +80,18 @@ type Request struct {
 	// Multi-phase lifecycle state (DESIGN.md §15). A phased request runs
 	// as a chain of NumPhases phase-completion events instead of one
 	// opaque service time; Service stays the sum of the base phase
-	// durations so SLO and load accounting are phase-agnostic. The
-	// arrays are fixed-size so a phased request still lives entirely in
-	// its arena slot — no per-request allocation. NumPhases <= 1 is the
-	// degenerate single-shot chain: every pre-phase code path is taken
-	// unchanged (byte-identical traces).
+	// durations so SLO and load accounting are phase-agnostic. Only the
+	// two cursor bytes live on the request: the per-phase vectors are
+	// cold state in the PhaseVec sidecar, which is attached iff
+	// NumPhases >= 1, so a bare request (every request of a 1-phase
+	// workload and of the live data plane) pays a nil pointer for them.
+	// The pointer is embedded: r.PhaseSvc[i] and its siblings read through
+	// it by field promotion and must be bounded by NumPhases. NumPhases
+	// <= 1 is the degenerate single-shot chain: every pre-phase code path
+	// is taken unchanged (byte-identical traces).
 	Phase     uint8 // current phase index (advances at each boundary)
-	NumPhases uint8 // 0 or 1 = single-shot; 2..MaxPhases = phased
-
-	PhaseSvc     [MaxPhases]sim.Time // base duration per phase (drawn at prepare)
-	PhaseAcc     [MaxPhases]sim.Time // duration on the phase's affine class (== PhaseSvc when neutral)
-	PhaseEnd     [MaxPhases]sim.Time // completion timestamp per phase; 0 until the phase finishes
-	PhaseOffload [MaxPhases]sim.Time // transfer cost charged when the phase is forwarded to another group
-	PhaseClass   [MaxPhases]uint8    // core-class affinity per phase (0 = general)
+	NumPhases uint8 // 0 = bare (no sidecar); 1 = single-shot chain; 2..MaxPhases = phased
+	*PhaseVec
 
 	// OnExecute, when non-nil, runs once when a core first begins this
 	// request (before the execution duration is read). Applications use
@@ -104,9 +103,33 @@ type Request struct {
 
 // MaxPhases bounds the phase chain of one request. Eight covers the
 // 4-phase MICA profile (parse → index probe → log read → respond) with
-// headroom for crypto/compression stages, while keeping the per-request
-// footprint fixed (phase state is inline arrays, not slices).
+// headroom for crypto/compression stages, while keeping the sidecar's
+// footprint fixed (phase state is arrays, not slices).
 const MaxPhases = 8
+
+// PhaseVec is the per-phase state of a request with NumPhases >= 1: the
+// sidecar Request embeds by pointer. It is owned by whoever owns the
+// request — the arena's sidecar slab while the request is in flight
+// (arena.AcquirePhased), the run's record slab once it completed — and is
+// never shared between two requests.
+type PhaseVec struct {
+	PhaseSvc     [MaxPhases]sim.Time // base duration per phase (drawn at prepare)
+	PhaseAcc     [MaxPhases]sim.Time // duration on the phase's affine class (== PhaseSvc when neutral)
+	PhaseEnd     [MaxPhases]sim.Time // completion timestamp per phase; 0 until the phase finishes
+	PhaseOffload [MaxPhases]sim.Time // transfer cost charged when the phase is forwarded to another group
+	PhaseClass   [MaxPhases]uint8    // core-class affinity per phase (0 = general)
+}
+
+// EnsurePhases attaches a heap-allocated sidecar to a request that has
+// none, for code that writes phase vectors onto a request it did not get
+// from a phased arena slot (tests, one-off rigs). The simulator's
+// generator attaches an arena-owned sidecar before preparing a request,
+// so this never allocates on its path.
+func (r *Request) EnsurePhases() {
+	if r.PhaseVec == nil {
+		r.PhaseVec = new(PhaseVec)
+	}
+}
 
 // Phased reports whether this request runs as a multi-phase chain.
 // Single-shot requests (NumPhases <= 1) take every pre-phase code path

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -291,4 +292,13 @@ func FuzzUnmarshalInto(f *testing.F) {
 			t.Fatalf("payload mismatch: %q vs %q", got.Payload, want.Payload)
 		}
 	})
+}
+
+// TestRequestFootprint is the tripwire on the hot struct: every arena
+// slot, every record of a run's Result and every copy between them pays
+// for each byte of Request, phased or not.
+func TestRequestFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(Request{}); got > 160 {
+		t.Fatalf("rpcproto.Request is %d bytes, want <= 160: per-phase state belongs in the sidecar (PhaseVec), which only phased requests carry", got)
+	}
 }

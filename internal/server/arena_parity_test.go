@@ -2,9 +2,8 @@ package server
 
 import (
 	"bytes"
-	"fmt"
-	"os"
-	"path/filepath"
+	"cmp"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -18,7 +17,10 @@ import (
 // TestScratchReusePurity locks the RunWith contract: a Scratch carried
 // across consecutive runs (arena slabs warm, handle table reused) must
 // not change any run's trace. This is the serial shape of what each
-// fleet.MapWith worker does.
+// fleet.MapWith worker does. The phased run at the end reuses the slots
+// the bare runs warmed, with N far above the arena's high-water mark, so
+// every slot and its sidecar serve many requests: a record that still
+// pointed into the arena would read a later request's phases.
 func TestScratchReusePurity(t *testing.T) {
 	sc := NewScratch()
 	for round := 0; round < 3; round++ {
@@ -28,6 +30,83 @@ func TestScratchReusePurity(t *testing.T) {
 				t.Fatalf("round %d %s: %v", round, kind, err)
 			}
 			compareGolden(t, kind, res)
+		}
+	}
+
+	phased := func(sc *Scratch) []byte {
+		cfg, wl := phasesKV4()
+		res, err := RunWith(sc, cfg, wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPhaseRecords(t, res)
+		if hw := inFlightHighWater(res); hw*8 > len(res.Requests) {
+			t.Fatalf("%d of %d requests in flight at once: slot reuse is not being exercised", hw, len(res.Requests))
+		}
+		var buf bytes.Buffer
+		if err := trace.WriteCSV(&buf, res.Requests); err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.WritePhaseCSV(&buf, res.Requests); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	warm1, warm2, fresh := phased(sc), phased(sc), phased(NewScratch())
+	if !bytes.Equal(warm1, fresh) || !bytes.Equal(warm2, fresh) {
+		t.Fatalf("phased traces differ: warm scratch %d and %d bytes, fresh %d", len(warm1), len(warm2), len(fresh))
+	}
+}
+
+// inFlightHighWater returns the most requests a run had between arrival
+// and completion at one instant: the arena slots it needed, give or take
+// the one request generated ahead of its arrival.
+func inFlightHighWater(res *Result) int {
+	type edge struct {
+		at sim.Time
+		d  int
+	}
+	edges := make([]edge, 0, 2*len(res.Requests))
+	for _, r := range res.Requests {
+		edges = append(edges, edge{r.Arrival, +1}, edge{r.Finish, -1})
+	}
+	slices.SortFunc(edges, func(a, b edge) int { return cmp.Compare(a.at, b.at) })
+	live, high := 0, 0
+	for _, e := range edges {
+		if live += e.d; live > high {
+			high = live
+		}
+	}
+	return high
+}
+
+// checkPhaseRecords audits a finished phased run's records: each owns
+// its sidecar, whose stamps end at Finish, never run backwards from
+// Arrival, and whose base durations still sum to Service.
+func checkPhaseRecords(t *testing.T, res *Result) {
+	t.Helper()
+	owner := make(map[*rpcproto.PhaseVec]uint64, len(res.Requests))
+	for _, r := range res.Requests {
+		if r.NumPhases == 0 || r.PhaseVec == nil {
+			t.Fatalf("request %d: NumPhases %d, sidecar %p", r.ID, r.NumPhases, r.PhaseVec)
+		}
+		if other, dup := owner[r.PhaseVec]; dup {
+			t.Fatalf("requests %d and %d share one phase sidecar", other, r.ID)
+		}
+		owner[r.PhaseVec] = r.ID
+		if end := r.PhaseEnd[r.NumPhases-1]; end != r.Finish {
+			t.Fatalf("request %d: last phase ends %v, finish %v", r.ID, end, r.Finish)
+		}
+		prev, sum := r.Arrival, sim.Time(0)
+		for i := 0; i < int(r.NumPhases); i++ {
+			if r.PhaseEnd[i] < prev {
+				t.Fatalf("request %d: phase %d ends %v before %v", r.ID, i, r.PhaseEnd[i], prev)
+			}
+			prev = r.PhaseEnd[i]
+			sum += r.PhaseSvc[i]
+		}
+		if sum != r.Service {
+			t.Fatalf("request %d: phase durations sum to %v, service %v", r.ID, sum, r.Service)
 		}
 	}
 }
@@ -57,22 +136,5 @@ func goldenWorkload() Workload {
 		Arrivals: dist.Poisson{Rate: dist.LoadForRate(0.7, 4, svc)},
 		Service:  svc,
 		N:        250, Warmup: 0, Conns: 8,
-	}
-}
-
-func compareGolden(t *testing.T, kind SchedulerKind, res *Result) {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := trace.WriteCSV(&buf, res.Requests); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join("testdata", "golden",
-		fmt.Sprintf("%s.csv", sanitize(kind.String())))
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden: %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("trace deviates from %s (%d vs %d bytes)", path, buf.Len(), len(want))
 	}
 }

@@ -75,8 +75,10 @@ type MICAPhases struct {
 	ParseOffload, IndexOffload, DataOffload, RespondOffload sim.Time
 }
 
-// apply fills r's phase arrays from the cost breakdown.
+// apply fills r's phase sidecar (the generator's, or a heap one for a
+// request prepared outside a run) from the cost breakdown.
 func (p *MICAPhases) apply(r *rpcproto.Request, c mica.PhaseCost) {
+	r.EnsurePhases()
 	r.NumPhases = 4
 	durs := [4]sim.Time{c.Parse, c.Index, c.Data, c.Respond}
 	classes := [4]uint8{p.ParseClass, p.IndexClass, p.DataClass, p.RespondClass}

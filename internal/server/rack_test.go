@@ -3,8 +3,6 @@ package server
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/dist"
@@ -126,25 +124,7 @@ func TestRackGoldenTraces(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := rackTraceBytes(t, rr)
-			path := filepath.Join("testdata", "golden", fmt.Sprintf("rack_%s.csv", pol))
-			if *updateGolden {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (run with -update to create): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("rack trace deviates from %s (%d vs %d bytes); run with -update if the change is intended",
-					path, len(got), len(want))
-			}
+			goldenFile(t, fmt.Sprintf("rack_%s.csv", pol), rackTraceBytes(t, rr), *updateGolden)
 		})
 	}
 }

@@ -111,7 +111,9 @@ func NewScratch() *Scratch { return &Scratch{arena: arena.New()} }
 type App interface {
 	// Prepare assigns the operation, payload and base service time of a
 	// freshly generated request (called at trace-generation time so that
-	// all schedulers replay the identical workload).
+	// all schedulers replay the identical workload). r arrives with a
+	// zeroed phase sidecar attached; an App that leaves NumPhases at 0
+	// loses it again.
 	Prepare(r *rpcproto.Request, rng *sim.RNG)
 }
 
@@ -174,7 +176,8 @@ type server struct {
 // generation, arrival, and delivery allocate nothing: requests live in
 // the arena's slots while in flight and are copied into the records
 // value slab (which backs res.Requests) at completion, when every field
-// is final.
+// is final. A phased request's sidecar is copied with it into
+// phaseRecords, because the arena's goes to the slot's next request.
 type gen struct {
 	eng    *sim.Engine
 	wl     *Workload
@@ -187,9 +190,10 @@ type gen struct {
 	// single-server run, whose arrivals all go to servers[0].
 	tier *rackTier
 
-	ar      *arena.Arena
-	handles []arena.RequestID
-	records []rpcproto.Request
+	ar           *arena.Arena
+	handles      []arena.RequestID
+	records      []rpcproto.Request
+	phaseRecords []rpcproto.PhaseVec // made at the run's first phased completion
 
 	nDone      int
 	arenaErr   error
@@ -208,8 +212,14 @@ func (g *gen) schedule(i int, at sim.Time) {
 	if i >= g.wl.N {
 		return
 	}
-	r, h := g.ar.Acquire()
-	g.handles[i] = h
+	// Only an App or a Profile can make a phase chain, so only their
+	// requests are handed a sidecar to fill.
+	var r *rpcproto.Request
+	if g.wl.App != nil || g.wl.Profile != nil {
+		r, g.handles[i] = g.ar.AcquirePhased()
+	} else {
+		r, g.handles[i] = g.ar.Acquire()
+	}
 	g.res.Requests[i] = &g.records[i]
 	r.ID = uint64(i)
 	r.Conn = uint32(g.arrRNG.Intn(g.wl.Conns))
@@ -220,6 +230,9 @@ func (g *gen) schedule(i int, at sim.Time) {
 		g.wl.Profile.Apply(r, g.svcRNG)
 	} else {
 		r.Service = g.wl.Service.Sample(g.svcRNG)
+	}
+	if r.NumPhases == 0 {
+		r.PhaseVec = nil
 	}
 	g.meanSvcSum += r.Service.Seconds()
 	// Software stacks charge per-request processing on the core. For a
@@ -276,7 +289,17 @@ func (g *gen) complete(srv int, r *rpcproto.Request) {
 	if r.Finish > g.res.Duration {
 		g.res.Duration = r.Finish
 	}
-	g.records[r.ID] = *r
+	rec := &g.records[r.ID]
+	*rec = *r
+	if r.PhaseVec != nil {
+		// The record must not alias the arena's sidecar: the slot released
+		// below hands it to the next request.
+		if g.phaseRecords == nil {
+			g.phaseRecords = make([]rpcproto.PhaseVec, g.wl.N)
+		}
+		rec.PhaseVec = &g.phaseRecords[r.ID]
+		*rec.PhaseVec = *r.PhaseVec
+	}
 	// A stale handle here means a request completed twice — remember the
 	// first occurrence and fail the run after the loop (the checker
 	// reports it too).

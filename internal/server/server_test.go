@@ -195,3 +195,29 @@ func TestKindStringer(t *testing.T) {
 		}
 	}
 }
+
+// TestBareWorkloadOnTwoClassMachine: a workload without a Profile has no
+// phase sidecars, and a heterogeneous machine must treat its requests as
+// general-class work, not read a class out of a sidecar that is not
+// there.
+func TestBareWorkloadOnTwoClassMachine(t *testing.T) {
+	svc := dist.Exponential{M: us(1)}
+	cfg := Config{
+		Kind: SchedAltocumulus, AC: core.DefaultParams(4, 2),
+		Stack: rpcproto.StackNanoRPC, Steer: nic.SteerConnection, Seed: 3,
+	}
+	cfg.AC.GroupClass = []uint8{0, 0, 0, 1}
+	cfg.AC.Forward = core.ForwardPowK
+	res, err := Run(cfg, Workload{Arrivals: poisson(0.5, 6, svc), Service: svc, N: 3000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res.Requests {
+		if r.Finish == 0 || r.NumPhases != 0 || r.PhaseVec != nil {
+			t.Fatalf("request %d: finish %v, phases %d, sidecar %p", r.ID, r.Finish, r.NumPhases, r.PhaseVec)
+		}
+		if r.GroupHint == 3 {
+			t.Fatalf("request %d was steered to the accelerator group", r.ID)
+		}
+	}
+}

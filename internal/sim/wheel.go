@@ -61,9 +61,16 @@ const (
 	wheelSlotBits = 10
 )
 
+// slotCap is each ring slot's share of the wheel's one backing array. A
+// run builds a fresh engine, and slots that each grew from nil on first
+// touch were most of a short run's allocations; four entries hold a
+// bucket's usual population, and a slot that overflows its window grows
+// a backing array of its own (the cap keeps it out of its neighbour's).
+const slotCap = 4
+
 func newWheel(gBits, slotBits uint) *timerWheel {
 	n := 1 << slotBits
-	return &timerWheel{
+	w := &timerWheel{
 		gBits:    gBits,
 		slotMask: n - 1,
 		gsize:    Time(1) << gBits,
@@ -72,6 +79,11 @@ func newWheel(gBits, slotBits uint) *timerWheel {
 		smin:     make([]Time, n),
 		occ:      make([]uint64, (n+63)/64),
 	}
+	backing := make([]int32, n*slotCap)
+	for s := range w.slots {
+		w.slots[s] = backing[s*slotCap : s*slotCap : (s+1)*slotCap]
+	}
+	return w
 }
 
 func (w *timerWheel) slotOf(at Time) int { return int(at>>w.gBits) & w.slotMask }
@@ -128,7 +140,7 @@ func (e *Engine) wplace(i int32, at, d Time) {
 		return
 	}
 	s := w.slotOf(at)
-	w.slots[s] = append(w.slots[s], i) //altolint:allow hotalloc amortized ring-slot growth into retained backing arrays
+	w.slots[s] = append(w.slots[s], i) //altolint:allow hotalloc a slot past its slotCap share of the ring backing grows an array of its own, retained
 	if w.occ[s>>6]&(1<<uint(s&63)) == 0 {
 		w.occ[s>>6] |= 1 << uint(s&63)
 		w.smin[s] = at

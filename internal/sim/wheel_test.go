@@ -491,3 +491,34 @@ func TestEngineRearmZeroAlloc(t *testing.T) {
 		t.Fatalf("periodic rearm allocates %.1f per 1024-tick run, want 0", allocs)
 	}
 }
+
+// TestFreshEngineSlotAllocations is the gate on what a short run pays
+// for the wheel: every run builds its own engine, so ring slots that
+// each grew from nil on first touch cost a thousand allocations per run.
+// Three event chains walk a fresh engine through every ring slot ten
+// times over, three entries to a bucket; beyond NewEngine's own objects
+// that may allocate the drain buffer and little else.
+func TestFreshEngineSlotAllocations(t *testing.T) {
+	var e *Engine
+	var left int
+	var step func()
+	step = func() {
+		if left--; left > 0 {
+			e.After(37<<wheelGBits, step) // 37 is odd: the chain visits all 1024 slots
+		}
+	}
+	build := testing.AllocsPerRun(5, func() { e = NewEngine() })
+	total := testing.AllocsPerRun(5, func() {
+		e = NewEngine()
+		left = 10000
+		for chain := 0; chain < 3; chain++ {
+			e.After(37<<wheelGBits, step)
+		}
+		if n := e.RunAll(); n != 10002 {
+			t.Fatalf("ran %d events, want 10002", n)
+		}
+	})
+	if got := total - build; got > 8 {
+		t.Fatalf("10k near-window events on a fresh engine allocate %.0f times (NewEngine itself %.0f), want <= 8", got, build)
+	}
+}

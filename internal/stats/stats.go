@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/policy"
@@ -43,7 +44,7 @@ func (s *Sample) Reset() {
 
 func (s *Sample) sortIfNeeded() {
 	if !s.sorted {
-		sort.Slice(s.xs, func(i, j int) bool { return s.xs[i] < s.xs[j] })
+		slices.Sort(s.xs)
 		s.sorted = true
 	}
 }

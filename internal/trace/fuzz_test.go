@@ -85,7 +85,7 @@ func FuzzPhaseRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, id uint64, nphases, class uint8, svc, acc, off, end uint64) {
 		const maxPS = uint64(1) << 50
 		n := int(nphases)%rpcproto.MaxPhases + 1
-		r := &rpcproto.Request{ID: id, NumPhases: uint8(n), Phase: uint8(n - 1)}
+		r := &rpcproto.Request{ID: id, NumPhases: uint8(n), Phase: uint8(n - 1), PhaseVec: &rpcproto.PhaseVec{}}
 		for i := 0; i < n; i++ {
 			mix := uint64(i)*0x9E3779B9 + 1
 			r.PhaseSvc[i] = sim.Time((svc * mix) % maxPS)

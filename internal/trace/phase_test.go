@@ -19,6 +19,7 @@ func phasedRequest() *rpcproto.Request {
 		Phase:     2,
 		Arrival:   10 * sim.Nanosecond,
 		Service:   60 * sim.Nanosecond,
+		PhaseVec:  &rpcproto.PhaseVec{},
 	}
 	for i := 0; i < 3; i++ {
 		r.PhaseSvc[i] = sim.Time(20+i) * sim.Nanosecond

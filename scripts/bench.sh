@@ -46,6 +46,12 @@
 #                     on the hetero AC machine (two phase-boundary
 #                     forwards through NetRX per chain); allocs/op must
 #                     be 0 (TestPhaseForwardZeroAlloc is the hard gate)
+#   MigrateBatch      one skewed 16-request burst on a warm 4-group AC
+#                     machine, rebalanced by ~5 MIGRATE batches through
+#                     MR staging, both FIFOs, the NoC and the ACK;
+#                     pooled migration records make allocs/op 0
+#                     (TestMigrateZeroAlloc in internal/core is the hard
+#                     gate)
 #   LiveLoopback      the real goroutine runtime end to end over TCP
 #                     loopback: 20k RPCs per iteration on a persistent
 #                     warmed session. rpc/s is the headline number
@@ -77,7 +83,7 @@ raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' \
-    -bench 'BenchmarkEngineEvents$|BenchmarkEngineEventsDeep|BenchmarkBigTopoTick|BenchmarkBigTopoQuick$|BenchmarkRequestLifecycle$|BenchmarkQueueLens|BenchmarkFig10Serial$|BenchmarkFig10Par4$|BenchmarkPolicyTick$|BenchmarkRackDispatch|BenchmarkPhaseForward$|BenchmarkLiveLoopback$|BenchmarkMICAGet$|BenchmarkMICASet$|BenchmarkLiveKVLoopback$' \
+    -bench 'BenchmarkEngineEvents$|BenchmarkEngineEventsDeep|BenchmarkBigTopoTick|BenchmarkBigTopoQuick$|BenchmarkRequestLifecycle$|BenchmarkQueueLens|BenchmarkFig10Serial$|BenchmarkFig10Par4$|BenchmarkPolicyTick$|BenchmarkRackDispatch|BenchmarkPhaseForward$|BenchmarkMigrateBatch$|BenchmarkLiveLoopback$|BenchmarkMICAGet$|BenchmarkMICASet$|BenchmarkLiveKVLoopback$' \
     -benchmem -benchtime "${BENCHTIME:-1s}" . | tee "$raw"
 
 go run ./cmd/benchjson <"$raw" >BENCH_sim.json

@@ -169,7 +169,7 @@ echo "== zero-alloc regression guard (non-gating)"
 # TestLiveKVZeroAlloc in the race run above).
 if [[ -f BENCH_sim.json ]]; then
     allocraw=$(mktemp)
-    go test -run '^$' -bench 'BenchmarkEngineEvents$|BenchmarkEngineEventsDeep|BenchmarkBigTopoTick|BenchmarkQueueLens|BenchmarkPolicyTick$|BenchmarkRackDispatch|BenchmarkPhaseForward$|BenchmarkMICAGet$|BenchmarkMICASet$' \
+    go test -run '^$' -bench 'BenchmarkEngineEvents$|BenchmarkEngineEventsDeep|BenchmarkBigTopoTick|BenchmarkQueueLens|BenchmarkPolicyTick$|BenchmarkRackDispatch|BenchmarkPhaseForward$|BenchmarkMigrateBatch$|BenchmarkMICAGet$|BenchmarkMICASet$' \
         -benchmem -benchtime 10000x . >"$allocraw" 2>&1 || true
     # The whole-run benchmarks ride along for benchjson's 2x time gate
     # (one iteration is a complete simulation, so three are a sample).
