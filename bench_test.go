@@ -697,10 +697,11 @@ func BenchmarkBigTopoQuick(b *testing.B) {
 // boundary path: OnPhase seam, in-class pick, offload delay, NetRX
 // landing, and the hop back.
 type phaseForwardRig struct {
-	eng *sim.Engine
-	s   *core.Scheduler
-	req rpcproto.Request
-	vec rpcproto.PhaseVec // req's phase sidecar, reused like req
+	eng  *sim.Engine
+	s    *core.Scheduler
+	req  rpcproto.Request
+	vec  rpcproto.PhaseVec  // req's phase sidecar, reused like req
+	plan rpcproto.PhasePlan // the chain's constants, shared by every drive
 }
 
 func newPhaseForwardRig(tb testing.TB) *phaseForwardRig {
@@ -715,20 +716,18 @@ func newPhaseForwardRig(tb testing.TB) *phaseForwardRig {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return &phaseForwardRig{eng: eng, s: s}
+	rg := &phaseForwardRig{eng: eng, s: s}
+	rg.plan.Class[1], rg.plan.Speedup[1], rg.plan.Offload[1] = 1, 4, 20*sim.Nanosecond
+	return rg
 }
 
 func (rg *phaseForwardRig) drive(id uint64) {
 	r := &rg.req
-	rg.vec = rpcproto.PhaseVec{}
+	rg.vec = rpcproto.PhaseVec{Plan: &rg.plan}
 	*r = rpcproto.Request{ID: id, Conn: uint32(id), Arrival: rg.eng.Now(), NumPhases: 3, PhaseVec: &rg.vec}
 	for i := 0; i < 3; i++ {
 		r.PhaseSvc[i] = 200 * sim.Nanosecond
-		r.PhaseAcc[i] = 200 * sim.Nanosecond
 	}
-	r.PhaseClass[1] = 1
-	r.PhaseAcc[1] = 50 * sim.Nanosecond
-	r.PhaseOffload[1] = 20 * sim.Nanosecond
 	r.Service = 600 * sim.Nanosecond
 	rg.s.Deliver(r)
 	rg.eng.Run(rg.eng.Now() + 5*sim.Microsecond)

@@ -204,7 +204,9 @@ func buildService(spec string, keys, valLen, setFrac, partitions int) (live.Hand
 		prepare := func(r *rpcproto.Request, conn, seq int) {
 			// Deterministic mix: no RNG so two runs offer identical
 			// request streams.
-			k := key((seq*2654435761 + conn*40503) % keys)
+			// Unsigned 64-bit so the key sequence is the same, and the
+			// command builds, where int is 32 bits.
+			k := key(int((uint64(seq)*2654435761 + uint64(conn)*40503) % uint64(keys)))
 			if setFrac > 0 && seq%100 < setFrac {
 				r.Op = rpcproto.OpSet
 				r.Payload = live.EncodeSet(k, val)

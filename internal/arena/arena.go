@@ -96,12 +96,12 @@ func (a *Arena) Acquire() (*rpcproto.Request, RequestID) {
 	return &s.req, id
 }
 
-// AcquirePhased is Acquire for a request that will carry phase vectors:
-// the slot's sidecar is zeroed — as Acquire's request is — and attached.
-// The sidecar is the arena's and goes back with the slot at Release, so
-// a copy of the request that outlives the slot must be given a sidecar
-// of its own. A caller that ends up with NumPhases == 0 drops it by
-// setting PhaseVec to nil, keeping the attached-iff-phased invariant.
+// AcquirePhased is Acquire for a request that a phase profile is about
+// to draw a chain onto: the slot's sidecar is zeroed — as Acquire's
+// request is — and attached, ready for the profile to fill its draws and
+// point it at the profile's plan. The sidecar is the arena's and goes
+// back with the slot at Release, so a copy of the request that outlives
+// the slot must be given a sidecar of its own.
 //
 //altolint:hotpath
 func (a *Arena) AcquirePhased() (*rpcproto.Request, RequestID) {

@@ -218,6 +218,7 @@ func TestAcquirePhasedSidecar(t *testing.T) {
 	seen := make(map[*rpcproto.PhaseVec]bool, n)
 	ids := make([]RequestID, n)
 	vecs := make([]*rpcproto.PhaseVec, n)
+	plan := &rpcproto.PhasePlan{}
 	for i := range ids {
 		var r *rpcproto.Request
 		r, ids[i] = a.AcquirePhased()
@@ -227,7 +228,7 @@ func TestAcquirePhasedSidecar(t *testing.T) {
 		seen[r.PhaseVec] = true
 		vecs[i] = r.PhaseVec
 		r.NumPhases = 2
-		r.PhaseSvc[1], r.PhaseEnd[rpcproto.MaxPhases-1], r.PhaseClass[0] = 7, 9, 1
+		r.PhaseSvc[1], r.PhaseEnd[rpcproto.MaxPhases-1], r.Plan = 7, 9, plan
 	}
 	for i := range ids {
 		if !a.Release(ids[i]) {

@@ -8,13 +8,18 @@ import (
 	"repro/internal/sim"
 )
 
-// phasedReq builds a 2-phase chain: 300 ns + 700 ns base, the second
-// phase accelerator-affine at 200 ns.
+// accelPlan makes phase 1 accelerator-affine at a 3.5x speedup.
+var accelPlan = func() *rpcproto.PhasePlan {
+	p := &rpcproto.PhasePlan{}
+	p.Class[1], p.Speedup[1] = 1, 3.5
+	return p
+}()
+
+// phasedReq builds a 2-phase chain on accelPlan: 300 ns + 700 ns base,
+// the second phase 200 ns on the accelerator.
 func phasedReq(id uint64) *rpcproto.Request {
-	r := &rpcproto.Request{ID: id, NumPhases: 2, PhaseVec: &rpcproto.PhaseVec{}}
-	r.PhaseSvc[0], r.PhaseAcc[0] = 300*sim.Nanosecond, 300*sim.Nanosecond
-	r.PhaseSvc[1], r.PhaseAcc[1] = 700*sim.Nanosecond, 200*sim.Nanosecond
-	r.PhaseClass[1] = 1
+	r := &rpcproto.Request{ID: id, NumPhases: 2, PhaseVec: &rpcproto.PhaseVec{Plan: accelPlan}}
+	r.PhaseSvc[0], r.PhaseSvc[1] = 300*sim.Nanosecond, 700*sim.Nanosecond
 	r.Service = sim.Microsecond
 	return r
 }

@@ -11,19 +11,23 @@ import (
 	"repro/internal/sim"
 )
 
-// phasedReq builds a 3-phase request whose middle phase is affine to
-// class 1 with a 4x speedup and an offload cost.
+// accelPlan is a 3-phase plan whose middle phase is affine to class 1
+// with a 4x speedup and an offload cost.
+var accelPlan = func() *rpcproto.PhasePlan {
+	p := &rpcproto.PhasePlan{}
+	p.Class[1], p.Speedup[1], p.Offload[1] = 1, 4, 20*sim.Nanosecond
+	return p
+}()
+
+// phasedReq builds a 3-phase request on accelPlan: 100/400/100 ns base,
+// the middle phase 100 ns on the accelerator.
 func phasedReq(id uint64, conn uint32, at sim.Time) *rpcproto.Request {
-	r := &rpcproto.Request{ID: id, Conn: conn, Arrival: at, NumPhases: 3, PhaseVec: &rpcproto.PhaseVec{}}
+	r := &rpcproto.Request{ID: id, Conn: conn, Arrival: at, NumPhases: 3, PhaseVec: &rpcproto.PhaseVec{Plan: accelPlan}}
 	durs := [3]sim.Time{100 * sim.Nanosecond, 400 * sim.Nanosecond, 100 * sim.Nanosecond}
 	for i, d := range durs {
 		r.PhaseSvc[i] = d
-		r.PhaseAcc[i] = d
 		r.Service += d
 	}
-	r.PhaseClass[1] = 1
-	r.PhaseAcc[1] = 100 * sim.Nanosecond
-	r.PhaseOffload[1] = 20 * sim.Nanosecond
 	return r
 }
 
@@ -124,9 +128,9 @@ func TestPhaseStayLocal(t *testing.T) {
 	}
 }
 
-// TestPhaseAcceleratedFaster: offloading the affine phase to the
+// TestAcceleratedPhaseFaster: offloading the affine phase to the
 // accelerator class must beat running the chain locally at base speed.
-func TestPhaseAcceleratedFaster(t *testing.T) {
+func TestAcceleratedPhaseFaster(t *testing.T) {
 	finish := func(forward ForwardPolicy) sim.Time {
 		eng := sim.NewEngine()
 		p := heteroParams(forward)

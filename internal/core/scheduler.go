@@ -268,7 +268,7 @@ func (s *Scheduler) Deliver(r *rpcproto.Request) {
 		// (deterministically, preserving the steerer's spread).
 		cls := 0 // a bare request has no sidecar and runs on the general class
 		if r.NumPhases > 0 {
-			cls = int(r.PhaseClass[0])
+			cls = int(r.Plan.Class[0])
 		}
 		if cls < s.classes && int(g.class) != cls {
 			lst := s.classGroups[cls]
@@ -686,7 +686,7 @@ func (s *Scheduler) phaseAdvance(g *group, w int, r *rpcproto.Request) bool {
 		s.Stats.PhaseStays++
 		return false
 	}
-	cls := int(r.PhaseClass[r.Phase])
+	cls := int(r.Plan.Class[r.Phase])
 	if cls >= s.classes {
 		// No group serves this class (profile broader than the machine):
 		// documented fallback is to stay local.
@@ -702,7 +702,7 @@ func (s *Scheduler) phaseAdvance(g *group, w int, r *rpcproto.Request) bool {
 	if dst != g {
 		// Offload (transfer) cost is charged only when the phase
 		// actually crosses groups.
-		delay = r.PhaseOffload[r.Phase]
+		delay = r.Plan.Offload[r.Phase]
 	}
 	s.eng.AfterArg(delay, dst.phaseLandFn, r, 0)
 	// The worker freed up the instant the phase completed: pull its next

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/rpcproto"
@@ -27,10 +28,14 @@ type PhaseSpec struct {
 	Offload sim.Time
 }
 
+// accelerates reports whether the spec's speedup changes its duration
+// on the affine class. Values <= 0 and exactly 1 are neutral.
+func (p PhaseSpec) accelerates() bool { return p.Speedup > 0 && p.Speedup != 1 }
+
 // neutral reports whether the spec carries no heterogeneity: class 0,
 // no speedup, no offload cost.
 func (p PhaseSpec) neutral() bool {
-	return p.Class == 0 && (p.Speedup <= 0 || p.Speedup == 1) && p.Offload == 0
+	return p.Class == 0 && !p.accelerates() && p.Offload == 0
 }
 
 // PhaseProfile is a request lifecycle as a chain of phases. A profile
@@ -38,15 +43,20 @@ func (p PhaseSpec) neutral() bool {
 // Apply draws exactly one sample from the same stream and the executor
 // takes the single-shot path, so runs are byte-identical (the
 // refactor's safety net, locked by TestPhaseParity).
+//
+// Build one with NewPhaseProfile and treat Phases as read-only after
+// that: the per-phase constants are frozen into the profile's plan.
 type PhaseProfile struct {
 	Phases []PhaseSpec
 	label  string
+	plan   rpcproto.PhasePlan // Class/Speedup/Offload per phase; every drawn request points here
 }
 
-// NewPhaseProfile validates and builds a profile. It panics on an
-// empty chain, a chain beyond rpcproto.MaxPhases, or a nil phase
-// distribution — profiles are constructed from literals in experiment
-// definitions, so misuse is a programming error.
+// NewPhaseProfile validates and builds a profile and its plan. It panics
+// on an empty chain, a chain beyond rpcproto.MaxPhases, a nil phase
+// distribution, a NaN or +Inf speedup, or a negative offload cost —
+// profiles are constructed from literals in experiment definitions, so
+// misuse is a programming error.
 func NewPhaseProfile(label string, phases ...PhaseSpec) *PhaseProfile {
 	if len(phases) == 0 {
 		panic("dist: PhaseProfile needs at least one phase")
@@ -54,12 +64,23 @@ func NewPhaseProfile(label string, phases ...PhaseSpec) *PhaseProfile {
 	if len(phases) > rpcproto.MaxPhases {
 		panic(fmt.Sprintf("dist: %d phases exceed rpcproto.MaxPhases = %d", len(phases), rpcproto.MaxPhases))
 	}
-	for i, p := range phases {
-		if p.Dist == nil {
-			panic(fmt.Sprintf("dist: phase %d (%q) has no distribution", i, p.Name))
+	p := &PhaseProfile{Phases: phases, label: label}
+	for i, ph := range phases {
+		switch {
+		case ph.Dist == nil:
+			panic(fmt.Sprintf("dist: phase %d (%q) has no distribution", i, ph.Name))
+		case math.IsNaN(ph.Speedup) || math.IsInf(ph.Speedup, 1):
+			panic(fmt.Sprintf("dist: phase %d (%q) has speedup %v", i, ph.Name, ph.Speedup))
+		case ph.Offload < 0:
+			panic(fmt.Sprintf("dist: phase %d (%q) has negative offload %v", i, ph.Name, ph.Offload))
 		}
+		p.plan.Class[i] = ph.Class
+		if ph.accelerates() {
+			p.plan.Speedup[i] = ph.Speedup
+		}
+		p.plan.Offload[i] = ph.Offload
 	}
-	return &PhaseProfile{Phases: phases, label: label}
+	return p
 }
 
 // Len returns the number of phases.
@@ -67,9 +88,9 @@ func (p *PhaseProfile) Len() int { return len(p.Phases) }
 
 // Apply draws the profile onto a freshly generated request: one base
 // sample per phase, in phase order (the RNG sequence golden traces
-// lock down), affine durations pre-scaled by the speedup, and Service
-// set to the base sum. A one-phase profile consumes exactly one draw —
-// the same stream a bare ServiceDist would. The vectors go to r's phase
+// lock down), Service set to the base sum, and the sidecar pointed at
+// the profile's plan. A one-phase profile consumes exactly one draw —
+// the same stream a bare ServiceDist would. The draws go to r's phase
 // sidecar: the server's generator attaches an arena-owned one first, and
 // a request that comes without gets one from the heap.
 //
@@ -77,17 +98,11 @@ func (p *PhaseProfile) Len() int { return len(p.Phases) }
 func (p *PhaseProfile) Apply(r *rpcproto.Request, rng *sim.RNG) {
 	r.EnsurePhases()
 	r.NumPhases = uint8(len(p.Phases))
+	r.Plan = &p.plan
 	var total sim.Time
 	for i, ph := range p.Phases {
 		base := ph.Dist.Sample(rng)
-		acc := base
-		if ph.Speedup > 0 && ph.Speedup != 1 {
-			acc = sim.Time(float64(base) / ph.Speedup)
-		}
 		r.PhaseSvc[i] = base
-		r.PhaseAcc[i] = acc
-		r.PhaseOffload[i] = ph.Offload
-		r.PhaseClass[i] = ph.Class
 		total += base
 	}
 	r.Service = total
@@ -121,7 +136,7 @@ func (p *PhaseProfile) MeanOn() sim.Time {
 	var total float64
 	for _, ph := range p.Phases {
 		m := float64(ph.Dist.Mean())
-		if ph.Speedup > 0 && ph.Speedup != 1 {
+		if ph.accelerates() {
 			m /= ph.Speedup
 		}
 		total += m

@@ -22,7 +22,7 @@ type Core struct {
 
 	// Class is the core's hardware class (0 = general-purpose). Phased
 	// requests whose current phase is affine to this class run the
-	// accelerated PhaseAcc duration instead of the base PhaseSvc one.
+	// accelerated duration (Request.PhaseDur) instead of the base one.
 	Class uint8
 	// OnPhase, when set, is consulted at every non-final phase boundary
 	// of a phased request. Returning true means the scheduler took

@@ -59,57 +59,3 @@ func (o OpCost) Time(op rpcproto.Op, payload int, migrated bool) sim.Time {
 	}
 	return d
 }
-
-// PhaseCost is the default 4-phase decomposition of one MICA operation
-// (DESIGN.md §15): request parse, index probe, log data access, and
-// response build. Total() sums exactly to Time() for the same inputs —
-// the breakdown re-partitions the modelled duration, it never changes
-// it (locked by the agreement tests).
-type PhaseCost struct {
-	Parse   sim.Time // request header decode + key extraction
-	Index   sim.Time // hash-index probe (plus the EREW remote penalty when migrated)
-	Data    sim.Time // log read/write: the payload- and scan-proportional part
-	Respond sim.Time // response buffer build
-}
-
-// Total returns the summed phase durations.
-func (p PhaseCost) Total() sim.Time { return p.Parse + p.Index + p.Data + p.Respond }
-
-// Phases splits Time(op, payload, migrated) across the four phases.
-// The base (payload-independent) cost splits 1/4 parse, 1/2 index, and
-// the remainder respond — integer remainder arithmetic so the parts
-// always sum back exactly; per-byte and per-entry work is all data
-// phase; the EREW remote penalty lands on the index probe, where the
-// remote cache access happens.
-func (o OpCost) Phases(op rpcproto.Op, payload int, migrated bool) PhaseCost {
-	var base, data sim.Time
-	switch op {
-	case rpcproto.OpGet:
-		base = o.GetBase
-		data = sim.Time(payload) * o.PerByte
-	case rpcproto.OpSet:
-		base = o.SetBase
-		data = sim.Time(payload) * o.PerByte
-	case rpcproto.OpScan:
-		// A SCAN is dominated by the log walk; carve the first visited
-		// entry's cost into parse/index/respond shares so the chain
-		// still has non-trivial boundaries.
-		base = o.PerEntry
-		data = sim.Time(o.ScanEntries)*o.PerEntry - base
-		if data < 0 {
-			base, data = 0, sim.Time(o.ScanEntries)*o.PerEntry
-		}
-	default:
-		base = o.GetBase
-	}
-	p := PhaseCost{
-		Parse: base / 4,
-		Index: base / 2,
-		Data:  data,
-	}
-	p.Respond = base - p.Parse - p.Index
-	if migrated {
-		p.Index += o.RemotePenalty
-	}
-	return p
-}

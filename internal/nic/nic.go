@@ -72,13 +72,16 @@ func (s *Steerer) Steer(r *rpcproto.Request) int {
 	case SteerDirect:
 		return int(r.Conn) % s.N
 	default:
-		return int(hash32(r.Conn) % uint32(s.N))
+		return int(FlowHash(r.Conn) % uint32(s.N))
 	}
 }
 
-// hash32 is the finalizer of MurmurHash3, a good avalanche mix standing
-// in for the Toeplitz hash real RSS NICs use.
-func hash32(x uint32) uint32 {
+// FlowHash is the NIC's flow hash: the finalizer of MurmurHash3, a good
+// avalanche mix standing in for the Toeplitz hash real RSS NICs use.
+// Reduce it to a queue or bucket in unsigned arithmetic
+// (int(h % uint32(n))), so the index cannot go negative where int is
+// 32 bits.
+func FlowHash(x uint32) uint32 {
 	x ^= x >> 16
 	x *= 0x85ebca6b
 	x ^= x >> 13

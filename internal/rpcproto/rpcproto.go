@@ -81,14 +81,14 @@ type Request struct {
 	// as a chain of NumPhases phase-completion events instead of one
 	// opaque service time; Service stays the sum of the base phase
 	// durations so SLO and load accounting are phase-agnostic. Only the
-	// two cursor bytes live on the request: the per-phase vectors are
-	// cold state in the PhaseVec sidecar, which is attached iff
-	// NumPhases >= 1, so a bare request (every request of a 1-phase
-	// workload and of the live data plane) pays a nil pointer for them.
-	// The pointer is embedded: r.PhaseSvc[i] and its siblings read through
-	// it by field promotion and must be bounded by NumPhases. NumPhases
-	// <= 1 is the degenerate single-shot chain: every pre-phase code path
-	// is taken unchanged (byte-identical traces).
+	// two cursor bytes live on the request. What is drawn or stamped per
+	// phase is cold state in the PhaseVec sidecar, which is attached iff
+	// NumPhases >= 1, so a bare request (every request of an App or
+	// ServiceDist workload and of the live data plane) pays a nil pointer
+	// for it. The pointer is embedded: r.PhaseSvc[i], r.PhaseEnd[i] and
+	// r.Plan read through it by field promotion and must be bounded by
+	// NumPhases. NumPhases <= 1 is the degenerate single-shot chain: every
+	// pre-phase code path is taken unchanged (byte-identical traces).
 	Phase     uint8 // current phase index (advances at each boundary)
 	NumPhases uint8 // 0 = bare (no sidecar); 1 = single-shot chain; 2..MaxPhases = phased
 	*PhaseVec
@@ -101,30 +101,53 @@ type Request struct {
 	OnExecute func(r *Request)
 }
 
-// MaxPhases bounds the phase chain of one request. Eight covers the
-// 4-phase MICA profile (parse → index probe → log read → respond) with
+// MaxPhases bounds the phase chain of one request. Eight covers a
+// 4-phase KV chain (parse → index probe → log read → respond) with
 // headroom for crypto/compression stages, while keeping the sidecar's
 // footprint fixed (phase state is arrays, not slices).
 const MaxPhases = 8
 
-// PhaseVec is the per-phase state of a request with NumPhases >= 1: the
-// sidecar Request embeds by pointer. It is owned by whoever owns the
-// request — the arena's sidecar slab while the request is in flight
-// (arena.AcquirePhased), the run's record slab once it completed — and is
-// never shared between two requests.
+// PhasePlan is the per-profile half of a phase chain: for each phase, the
+// core class it is affine to, the speedup it gets there, and the transfer
+// cost charged when it is forwarded to another group. A profile builds
+// its plan once (dist.NewPhaseProfile) and every request drawn from it
+// points at that one plan, which nothing writes afterwards — the
+// processor-side constants of xmp_sched_sim's model, not request state.
+type PhasePlan struct {
+	Class   [MaxPhases]uint8    // core-class affinity per phase (0 = general)
+	Speedup [MaxPhases]float64  // divisor on the affine class; 0 = neutral
+	Offload [MaxPhases]sim.Time // transfer cost when the phase is forwarded to another group
+}
+
+// Accel returns the duration of phase i on its affine class, given its
+// base duration svc: svc divided by the phase's speedup, or svc itself
+// when the phase is neutral.
+//
+//altolint:hotpath
+func (p *PhasePlan) Accel(i uint8, svc sim.Time) sim.Time {
+	if s := p.Speedup[i]; s != 0 {
+		return sim.Time(float64(svc) / s)
+	}
+	return svc
+}
+
+// PhaseVec is the per-request state of a request with NumPhases >= 1:
+// the sidecar Request embeds by pointer. It holds only what is drawn or
+// stamped per request, plus a pointer to the profile's shared plan. It is
+// owned by whoever owns the request — the arena's sidecar slab while the
+// request is in flight (arena.AcquirePhased), the run's record slab once
+// it completed — and is never shared between two requests.
 type PhaseVec struct {
-	PhaseSvc     [MaxPhases]sim.Time // base duration per phase (drawn at prepare)
-	PhaseAcc     [MaxPhases]sim.Time // duration on the phase's affine class (== PhaseSvc when neutral)
-	PhaseEnd     [MaxPhases]sim.Time // completion timestamp per phase; 0 until the phase finishes
-	PhaseOffload [MaxPhases]sim.Time // transfer cost charged when the phase is forwarded to another group
-	PhaseClass   [MaxPhases]uint8    // core-class affinity per phase (0 = general)
+	Plan     *PhasePlan          // the profile's constants, shared by all its requests
+	PhaseSvc [MaxPhases]sim.Time // base duration per phase (drawn at prepare)
+	PhaseEnd [MaxPhases]sim.Time // completion timestamp per phase; 0 until the phase finishes
 }
 
 // EnsurePhases attaches a heap-allocated sidecar to a request that has
-// none, for code that writes phase vectors onto a request it did not get
-// from a phased arena slot (tests, one-off rigs). The simulator's
-// generator attaches an arena-owned sidecar before preparing a request,
-// so this never allocates on its path.
+// none, for code that draws a chain onto a request it did not get from a
+// phased arena slot (tests, one-off rigs). The simulator's generator
+// attaches an arena-owned sidecar before applying a profile, so this
+// never allocates on its path.
 func (r *Request) EnsurePhases() {
 	if r.PhaseVec == nil {
 		r.PhaseVec = new(PhaseVec)
@@ -139,35 +162,32 @@ func (r *Request) EnsurePhases() {
 func (r *Request) Phased() bool { return r.NumPhases > 1 }
 
 // PhaseDur returns the effective duration of the current phase on a
-// core of the given class: the affine-class duration when the classes
-// match, the base duration elsewhere. Neutral phases carry
-// PhaseAcc == PhaseSvc, so the distinction vanishes.
+// core of the given class: the plan's accelerated duration when the
+// classes match, the base duration elsewhere. A neutral phase runs its
+// base duration on either, so the distinction vanishes.
 //
 //altolint:hotpath
 func (r *Request) PhaseDur(class uint8) sim.Time {
-	if r.PhaseClass[r.Phase] == class {
-		return r.PhaseAcc[r.Phase]
+	svc := r.PhaseSvc[r.Phase]
+	if r.Plan.Class[r.Phase] == class {
+		return r.Plan.Accel(r.Phase, svc)
 	}
-	return r.PhaseSvc[r.Phase]
+	return svc
 }
 
 // MinService returns the smallest on-CPU time the request can complete
 // in: Service for single-shot requests, and the per-phase minimum of
-// base and affine durations for phased ones (a phase never runs faster
-// than its accelerated duration). The invariant checker's conservation
-// bound uses this instead of Service, which an accelerated chain may
-// legitimately undercut.
+// base and accelerated durations for phased ones (a phase never runs
+// faster than its accelerated duration). The invariant checker's
+// conservation bound uses this instead of Service, which an accelerated
+// chain may legitimately undercut.
 func (r *Request) MinService() sim.Time {
 	if !r.Phased() {
 		return r.Service
 	}
 	var total sim.Time
-	for i := 0; i < int(r.NumPhases); i++ {
-		d := r.PhaseSvc[i]
-		if r.PhaseAcc[i] < d {
-			d = r.PhaseAcc[i]
-		}
-		total += d
+	for i := uint8(0); i < r.NumPhases; i++ {
+		total += min(r.PhaseSvc[i], r.Plan.Accel(i, r.PhaseSvc[i]))
 	}
 	return total
 }

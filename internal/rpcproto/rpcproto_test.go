@@ -302,3 +302,13 @@ func TestRequestFootprint(t *testing.T) {
 		t.Fatalf("rpcproto.Request is %d bytes, want <= 160: per-phase state belongs in the sidecar (PhaseVec), which only phased requests carry", got)
 	}
 }
+
+// TestPhaseVecFootprint is the tripwire on the sidecar: every phased
+// arena slot and every phased record pays for it. It holds one pointer to
+// the profile's plan plus what is drawn or stamped per request; a
+// per-profile constant copied onto it would cost every phased request.
+func TestPhaseVecFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(PhaseVec{}); got > 136 {
+		t.Fatalf("rpcproto.PhaseVec is %d bytes, want <= 136: per-profile constants belong in the PhasePlan it points at", got)
+	}
+}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"repro/internal/exec"
+	"repro/internal/nic"
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
 )
@@ -93,7 +94,7 @@ func (s *RSSPlus) Stop() { s.stopped = true }
 //
 //altolint:hotpath
 func (s *RSSPlus) Deliver(r *rpcproto.Request) {
-	b := int(hashConn(r.Conn)) % s.buckets
+	b := int(nic.FlowHash(r.Conn) % uint32(s.buckets))
 	s.load[b]++
 	q := s.table[b]
 	r.GroupHint = q
@@ -202,15 +203,5 @@ func (s *RSSPlus) QueueLensInto(buf []int) []int {
 
 // Cores exposes the core array for utilisation reporting.
 func (s *RSSPlus) Cores() []*exec.Core { return s.cores }
-
-// hashConn mirrors the steering hash for bucket selection.
-func hashConn(x uint32) uint32 {
-	x ^= x >> 16
-	x *= 0x85ebca6b
-	x ^= x >> 13
-	x *= 0xc2b2ae35
-	x ^= x >> 16
-	return x
-}
 
 var _ Scheduler = (*RSSPlus)(nil)

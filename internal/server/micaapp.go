@@ -47,53 +47,12 @@ type MICAApp struct {
 	// full Cost.ScanEntries.
 	ScanExecuteCap int
 
-	// Phases, when non-nil, prepares every request as the default
-	// 4-phase chain (parse -> index -> data -> respond) drawn from
-	// Cost.Phases, instead of one opaque service time (DESIGN.md §15).
-	// The per-phase durations sum exactly to the single-shot Time()
-	// value, so the total work offered is unchanged.
-	Phases *MICAPhases
-
 	// execute is the OnExecute hook of every request, bound once so
 	// Prepare installs it without allocating a closure; val is the value
 	// scratch its GETs copy into and its SETs write from. The app, like
 	// the store it drives, belongs to one simulation at a time.
 	execute func(*rpcproto.Request)
 	val     []byte
-}
-
-// MICAPhases maps the 4-phase MICA op decomposition onto core classes.
-// Zero-valued fields are neutral: every phase class 0, no speedups, no
-// offload costs.
-type MICAPhases struct {
-	ParseClass, IndexClass, DataClass, RespondClass uint8
-	// Speedup divides a phase's duration when it runs on a core of its
-	// affine class (<= 0 or == 1 keeps the base duration).
-	ParseSpeedup, IndexSpeedup, DataSpeedup, RespondSpeedup float64
-	// Offload is the transfer cost charged when the phase is forwarded
-	// to another group.
-	ParseOffload, IndexOffload, DataOffload, RespondOffload sim.Time
-}
-
-// apply fills r's phase sidecar (the generator's, or a heap one for a
-// request prepared outside a run) from the cost breakdown.
-func (p *MICAPhases) apply(r *rpcproto.Request, c mica.PhaseCost) {
-	r.EnsurePhases()
-	r.NumPhases = 4
-	durs := [4]sim.Time{c.Parse, c.Index, c.Data, c.Respond}
-	classes := [4]uint8{p.ParseClass, p.IndexClass, p.DataClass, p.RespondClass}
-	speedups := [4]float64{p.ParseSpeedup, p.IndexSpeedup, p.DataSpeedup, p.RespondSpeedup}
-	offloads := [4]sim.Time{p.ParseOffload, p.IndexOffload, p.DataOffload, p.RespondOffload}
-	for i := 0; i < 4; i++ {
-		acc := durs[i]
-		if speedups[i] > 0 && speedups[i] != 1 {
-			acc = sim.Time(float64(acc) / speedups[i])
-		}
-		r.PhaseSvc[i] = durs[i]
-		r.PhaseAcc[i] = acc
-		r.PhaseClass[i] = classes[i]
-		r.PhaseOffload[i] = offloads[i]
-	}
 }
 
 // NewMICAApp builds the app and preloads every key with an initial value.
@@ -163,11 +122,6 @@ func (a *MICAApp) Prepare(r *rpcproto.Request, rng *sim.RNG) {
 		r.Service = a.FixedService
 	} else {
 		r.Service = a.Cost.Time(r.Op, a.ValLen, false)
-		if a.Phases != nil {
-			// 4-phase chain; Cost.Phases sums exactly to Time(), so
-			// Service is already the base chain total.
-			a.Phases.apply(r, a.Cost.Phases(r.Op, a.ValLen, false))
-		}
 	}
 	r.OnExecute = a.execute
 }
@@ -194,14 +148,9 @@ func (a *MICAApp) onExecute(r *rpcproto.Request) {
 	}
 	// EREW: a migrated request executes away from the partition's
 	// owner group and pays a remote access (§IX-C). OnExecute runs
-	// before the core reads the phase-0 duration, so in phased mode
-	// the penalty lands on the first phase consistently.
+	// before the core reads Service, so the penalty is charged in full.
 	if r.Migrated {
 		r.Service += a.Cost.RemotePenalty
-		if r.Phased() {
-			r.PhaseSvc[0] += a.Cost.RemotePenalty
-			r.PhaseAcc[0] += a.Cost.RemotePenalty
-		}
 	}
 }
 

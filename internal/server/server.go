@@ -111,9 +111,9 @@ func NewScratch() *Scratch { return &Scratch{arena: arena.New()} }
 type App interface {
 	// Prepare assigns the operation, payload and base service time of a
 	// freshly generated request (called at trace-generation time so that
-	// all schedulers replay the identical workload). r arrives with a
-	// zeroed phase sidecar attached; an App that leaves NumPhases at 0
-	// loses it again.
+	// all schedulers replay the identical workload). r arrives bare, with
+	// no phase sidecar, and must leave NumPhases at 0: phase chains come
+	// only from a Workload.Profile.
 	Prepare(r *rpcproto.Request, rng *sim.RNG)
 }
 
@@ -212,10 +212,11 @@ func (g *gen) schedule(i int, at sim.Time) {
 	if i >= g.wl.N {
 		return
 	}
-	// Only an App or a Profile can make a phase chain, so only their
-	// requests are handed a sidecar to fill.
+	// Only a Profile makes a phase chain (App takes precedence over it),
+	// so only its requests are handed a sidecar to fill.
+	phased := g.wl.App == nil && g.wl.Profile != nil
 	var r *rpcproto.Request
-	if g.wl.App != nil || g.wl.Profile != nil {
+	if phased {
 		r, g.handles[i] = g.ar.AcquirePhased()
 	} else {
 		r, g.handles[i] = g.ar.Acquire()
@@ -224,26 +225,25 @@ func (g *gen) schedule(i int, at sim.Time) {
 	r.ID = uint64(i)
 	r.Conn = uint32(g.arrRNG.Intn(g.wl.Conns))
 	r.Size = 300
-	if g.wl.App != nil {
+	switch {
+	case g.wl.App != nil:
 		g.wl.App.Prepare(r, g.svcRNG)
-	} else if g.wl.Profile != nil {
+	case phased:
 		g.wl.Profile.Apply(r, g.svcRNG)
-	} else {
+	default:
 		r.Service = g.wl.Service.Sample(g.svcRNG)
-	}
-	if r.NumPhases == 0 {
-		r.PhaseVec = nil
 	}
 	g.meanSvcSum += r.Service.Seconds()
 	// Software stacks charge per-request processing on the core. For a
 	// phased request the stack cost lands on the first phase so the
-	// per-phase durations keep summing to Service. The servers of a rack
-	// are identical, so servers[0]'s receive model prices all of them.
+	// per-phase durations keep summing to Service; its accelerated
+	// duration is derived from PhaseSvc, so it takes the surcharge too
+	// (DESIGN.md §15). The servers of a rack are identical, so
+	// servers[0]'s receive model prices all of them.
 	stackCost := g.servers[0].rx.CoreStackCost(r.Size)
 	r.Service += stackCost
-	if r.NumPhases > 0 && stackCost > 0 {
+	if phased {
 		r.PhaseSvc[0] += stackCost
-		r.PhaseAcc[0] += stackCost
 	}
 	gap := g.wl.Arrivals.NextGap(g.arrRNG)
 	g.eng.AtArg(at, g.arriveFn, r, int64(gap))

@@ -72,27 +72,30 @@ func FuzzTraceRoundTrip(f *testing.F) {
 
 // FuzzPhaseRoundTrip checks that the phase sidecar codec
 // (PhaseRecordsOf -> CSV/JSONL -> PhaseRecord) is lossless for any
-// multi-phase chain. Per-phase durations derive deterministically from
-// the fuzzed bases via index mixing so each row is distinct; the same
-// 2^50 ps clamp as FuzzTraceRoundTrip keeps the fixed three-decimal
-// format exact.
+// multi-phase chain. Per-phase values derive deterministically from the
+// fuzzed bases via index mixing so each row is distinct: the draws and
+// stamps go to the request's sidecar, the class, speedup and offload to
+// its plan. speed picks each phase's speedup in 0..31 (0 neutral), so an
+// accelerated duration never exceeds its base and the same 2^50 ps clamp
+// as FuzzTraceRoundTrip keeps the fixed three-decimal format exact.
 func FuzzPhaseRoundTrip(f *testing.F) {
 	f.Add(uint64(0), uint8(1), uint8(0), uint64(1), uint64(1), uint64(0), uint64(1))
 	f.Add(uint64(7), uint8(4), uint8(1), uint64(38000), uint64(9500), uint64(120), uint64(999999))
 	f.Add(uint64(1<<40), uint8(8), uint8(3), uint64(1)<<49, uint64(1)<<48, uint64(1)<<32, uint64(1)<<49)
 	f.Add(uint64(12345), uint8(2), uint8(255), uint64(777777), uint64(0), uint64(31415), uint64(271828))
 
-	f.Fuzz(func(t *testing.T, id uint64, nphases, class uint8, svc, acc, off, end uint64) {
+	f.Fuzz(func(t *testing.T, id uint64, nphases, class uint8, svc, speed, off, end uint64) {
 		const maxPS = uint64(1) << 50
 		n := int(nphases)%rpcproto.MaxPhases + 1
-		r := &rpcproto.Request{ID: id, NumPhases: uint8(n), Phase: uint8(n - 1), PhaseVec: &rpcproto.PhaseVec{}}
+		plan := &rpcproto.PhasePlan{}
+		r := &rpcproto.Request{ID: id, NumPhases: uint8(n), Phase: uint8(n - 1), PhaseVec: &rpcproto.PhaseVec{Plan: plan}}
 		for i := 0; i < n; i++ {
 			mix := uint64(i)*0x9E3779B9 + 1
 			r.PhaseSvc[i] = sim.Time((svc * mix) % maxPS)
-			r.PhaseAcc[i] = sim.Time((acc * mix) % maxPS)
-			r.PhaseOffload[i] = sim.Time((off * mix) % maxPS)
 			r.PhaseEnd[i] = sim.Time((end * mix) % maxPS)
-			r.PhaseClass[i] = class + uint8(i)
+			plan.Class[i] = class + uint8(i)
+			plan.Speedup[i] = float64((speed * mix) % 32)
+			plan.Offload[i] = sim.Time((off * mix) % maxPS)
 			r.Service += r.PhaseSvc[i]
 		}
 		r.Finish = r.PhaseEnd[n-1] + 1 // WritePhaseCSV skips unfinished requests

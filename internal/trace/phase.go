@@ -27,20 +27,21 @@ type PhaseRecord struct {
 	EndNS     float64 `json:"end_ns"`     // phase completion timestamp
 }
 
-// PhaseRecordsOf expands a completed phased request into its per-phase
-// records, appending to dst. Unphased requests (NumPhases == 0, or a
-// degenerate 1-phase chain is still emitted) contribute nothing when
-// NumPhases is zero.
+// PhaseRecordsOf expands a completed request into one record per phase,
+// appending to dst: the draws and stamps from its sidecar, the class,
+// accelerated duration and offload cost from its profile's plan. A bare
+// request (NumPhases == 0) contributes nothing; a 1-phase chain
+// contributes one record.
 func PhaseRecordsOf(dst []PhaseRecord, r *rpcproto.Request) []PhaseRecord {
-	for i := 0; i < int(r.NumPhases); i++ {
+	for i := uint8(0); i < r.NumPhases; i++ {
 		dst = append(dst, PhaseRecord{
 			ID:        r.ID,
-			Phase:     uint8(i),
+			Phase:     i,
 			Phases:    r.NumPhases,
-			Class:     r.PhaseClass[i],
+			Class:     r.Plan.Class[i],
 			ServiceNS: r.PhaseSvc[i].Nanoseconds(),
-			AccNS:     r.PhaseAcc[i].Nanoseconds(),
-			OffloadNS: r.PhaseOffload[i].Nanoseconds(),
+			AccNS:     r.Plan.Accel(i, r.PhaseSvc[i]).Nanoseconds(),
+			OffloadNS: r.Plan.Offload[i].Nanoseconds(),
 			EndNS:     r.PhaseEnd[i].Nanoseconds(),
 		})
 	}

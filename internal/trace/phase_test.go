@@ -11,22 +11,24 @@ import (
 )
 
 // phasedRequest builds a finished 3-phase request with distinct values
-// in every per-phase field.
+// in every per-phase field of its sidecar and its plan.
 func phasedRequest() *rpcproto.Request {
+	plan := &rpcproto.PhasePlan{
+		Class:   [rpcproto.MaxPhases]uint8{0, 1, 0},
+		Speedup: [rpcproto.MaxPhases]float64{0, 2, 3},
+		Offload: [rpcproto.MaxPhases]sim.Time{0, sim.Nanosecond, 2 * sim.Nanosecond},
+	}
 	r := &rpcproto.Request{
 		ID:        42,
 		NumPhases: 3,
 		Phase:     2,
 		Arrival:   10 * sim.Nanosecond,
 		Service:   60 * sim.Nanosecond,
-		PhaseVec:  &rpcproto.PhaseVec{},
+		PhaseVec:  &rpcproto.PhaseVec{Plan: plan},
 	}
 	for i := 0; i < 3; i++ {
 		r.PhaseSvc[i] = sim.Time(20+i) * sim.Nanosecond
-		r.PhaseAcc[i] = sim.Time(10+i) * sim.Nanosecond
-		r.PhaseOffload[i] = sim.Time(i) * sim.Nanosecond
 		r.PhaseEnd[i] = sim.Time(30*(i+1)) * sim.Nanosecond
-		r.PhaseClass[i] = uint8(i % 2)
 	}
 	r.Finish = r.PhaseEnd[2]
 	return r

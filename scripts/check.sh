@@ -18,29 +18,34 @@
 #                      that breaks its build or trips one of its run-time
 #                      checks would otherwise surface only in the
 #                      benchmark pipeline
-#   5. go test -race   full suite under the race detector, then two
+#   5. 386 build       the internal packages' tests and every command
+#                      built for GOARCH=386: int is 32 bits there, so an
+#                      index computed through int overflow fails, and the
+#                      goldens passing there shows a 32-bit build
+#                      reproduces the 64-bit results byte for byte
+#   6. go test -race   full suite under the race detector, then two
 #                      extra bounded -race passes over internal/live and
 #                      the rack-tier smoke: the rack experiment at quick
 #                      scale (checker on) plus two bounded altorack
 #                      loopback soaks under -race
-#   6. coverage ratchet the invariant-bearing packages (internal/sim,
+#   7. coverage ratchet the invariant-bearing packages (internal/sim,
 #                      internal/sched, internal/check) must stay above
 #                      their recorded coverage floors
-#   7. fuzz smoke      40s total of FuzzEngine (event wheel vs
+#   8. fuzz smoke      40s total of FuzzEngine (event wheel vs
 #                      container/heap oracle), FuzzTraceRoundTrip
 #                      (CSV/JSONL codec round trip), FuzzPhaseRoundTrip
 #                      (phase-boundary sidecar codec), and FuzzStore (the
 #                      MICA store vs its map oracle on a log of a few
 #                      entries) over the committed corpora plus fresh
 #                      mutations
-#   8. bigtopo smoke   the 1024-core big-topology grids at quick scale
+#   9. bigtopo smoke   the 1024-core big-topology grids at quick scale
 #                      with the checker on, timed so the wall cost of
 #                      the timer-wheel engine at scale stays visible
-#   9. altobench smoke every registered experiment regenerates at quick
+#  10. altobench smoke every registered experiment regenerates at quick
 #                      scale with the online invariant checker attached
 #                      (runs through the cross-run fleet at GOMAXPROCS
 #                      width, so this is fast on CI runners)
-#  10. alloc guard     a quick run of the zero-alloc benchmarks compared
+#  11. alloc guard     a quick run of the zero-alloc benchmarks compared
 #                      against the committed BENCH_sim.json; any hot
 #                      path that regresses from 0 allocs/op, and any
 #                      whole-run benchmark (BigTopoQuick, Fig10Serial,
@@ -92,6 +97,11 @@ go build ./...
 
 echo "== bench module (vet + smoke tests against this tree)"
 (cd bench && go vet ./... && go test ./...)
+
+echo "== 386 build (internal tests + commands, 32-bit int)"
+# CGO_ENABLED=0: a cross build has no C toolchain, and the lint tests'
+# package loader would otherwise ask for one.
+CGO_ENABLED=0 GOARCH=386 go test ./internal/... && CGO_ENABLED=0 GOARCH=386 go build ./cmd/...
 
 echo "== go test -race"
 go test -race ./...
