@@ -61,14 +61,12 @@ type JBSQ struct {
 	probe      Probe
 	rr         int      // round-robin scan pointer over cores
 	engineFree sim.Time // central engine busy-until
-	resume     *sim.Timer
+	resuming   bool     // a drain retry is scheduled for engineFree
 
 	// Callbacks bound once at construction so the per-request path never
 	// allocates a closure: landFns[i] is the NIC-push arg-event trampoline
 	// landing a request in core i's local queue, doneFns/preemptFns are
-	// core i's completion callbacks, resume re-runs drain when the
-	// central engine frees (a Timer: the re-arm-heavy retry reuses one
-	// slab slot for the scheduler's whole lifetime).
+	// core i's completion callbacks.
 	landFns    []func(any, int64)
 	doneFns    []func(*rpcproto.Request)
 	preemptFns []func(*rpcproto.Request)
@@ -122,8 +120,16 @@ func NewJBSQ(eng *sim.Engine, n int, variant JBSQVariant, bound int, xfer, engin
 			s.tryStart(i)
 		}
 	}
-	s.resume = eng.NewTimer(func() { s.drain() })
 	return s
+}
+
+// jbsqResume re-runs a JBSQ's drain once its central engine frees. It
+// is package-level, with the scheduler riding in the event's arg, so
+// scheduling the retry allocates nothing.
+func jbsqResume(arg any, _ int64) {
+	s := arg.(*JBSQ)
+	s.resuming = false
+	s.drain()
 }
 
 // SetObserver installs instrumentation.
@@ -162,8 +168,9 @@ func (s *JBSQ) drain() {
 		// previous decision, retry when it frees.
 		now := s.eng.Now()
 		if s.engineFree > now {
-			if !s.resume.Armed() {
-				s.resume.Arm(s.engineFree)
+			if !s.resuming {
+				s.resuming = true
+				s.eng.AtArg(s.engineFree, jbsqResume, s, 0)
 			}
 			return
 		}

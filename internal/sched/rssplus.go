@@ -32,9 +32,8 @@ type RSSPlus struct {
 	// construction so the per-request path never allocates a closure;
 	// coreLoad is the rebalancer's per-core accumulator, reused across
 	// ticks for the same reason.
-	doneFns     []func(*rpcproto.Request)
-	coreLoad    []int
-	rebalanceFn func() // s.rebalance bound once (a method value allocates per evaluation)
+	doneFns  []func(*rpcproto.Request)
+	coreLoad []int
 
 	Rebalances uint64
 	MovedBkts  uint64
@@ -74,9 +73,14 @@ func NewRSSPlus(eng *sim.Engine, n, buckets int, pickup, interval sim.Time, done
 	for b := range s.table {
 		s.table[b] = b % n
 	}
-	s.rebalanceFn = s.rebalance
 	if interval > 0 {
-		eng.After(interval, s.rebalanceFn)
+		eng.Every(interval, func() bool {
+			if s.stopped {
+				return false
+			}
+			s.rebalance()
+			return true
+		})
 	}
 	return s
 }
@@ -121,14 +125,6 @@ func (s *RSSPlus) tryStart(i int) {
 // the most-loaded core (by queued work) to the least-loaded, one bucket
 // per pass, mirroring RSS++'s incremental migration of table entries.
 func (s *RSSPlus) rebalance() {
-	if s.stopped {
-		return
-	}
-	// Rearm rides the engine's periodic fast path: the rebalance tick
-	// keeps its slab slot instead of a delete+insert each interval.
-	defer func() {
-		s.eng.Rearm(s.Interval)
-	}()
 	s.Rebalances++
 	defer func() {
 		for b := range s.load {

@@ -138,12 +138,10 @@ func (t *rackTier) startSampler(eng *sim.Engine) {
 	if t.sampleEvery == 0 {
 		return
 	}
-	var sample func(any, int64)
-	sample = func(any, int64) {
+	eng.Every(t.sampleEvery, func() bool {
 		t.disp.ObserveAll(t.outstanding, policy.Duration(eng.Now()))
-		eng.AfterArg(t.sampleEvery, sample, nil, 0)
-	}
-	eng.AfterArg(t.sampleEvery, sample, nil, 0)
+		return true
+	})
 }
 
 // dispatch makes the rack decision for an arrival and records it.

@@ -439,12 +439,10 @@ func run(sc *Scratch, rc *RackConfig, cfg Config, wl Workload) (*RackResult, err
 	g.schedule(0, 0)
 
 	if cfg.SnapshotEvery > 0 {
-		var snap func()
-		snap = func() {
+		eng.Every(cfg.SnapshotEvery, func() bool {
 			res.Snapshots = append(res.Snapshots, Snapshot{At: eng.Now(), Lens: first.QueueLensInto(nil)})
-			eng.After(cfg.SnapshotEvery, snap)
-		}
-		eng.After(cfg.SnapshotEvery, snap)
+			return true
+		})
 	}
 
 	if err := runToLastDone(eng, res.Name, wl.N, &g.nDone); err != nil {

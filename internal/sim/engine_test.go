@@ -130,68 +130,19 @@ func TestEnginePastClamped(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	id := e.At(10*Nanosecond, func() { fired = true })
-	if !id.Valid() {
-		t.Fatal("id should be valid")
-	}
-	id.Cancel()
-	id.Cancel() // double-cancel is a no-op
-	e.RunAll()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	var zero EventID
-	zero.Cancel() // zero id cancel must not panic
-	if zero.Valid() {
-		t.Fatal("zero id is valid")
-	}
-}
-
 func TestEngineSlotRecycling(t *testing.T) {
-	// A fired event's slot is recycled; a stale id for it must not be
-	// able to cancel the new occupant (generation guard).
+	// A fired event's slot is recycled: two sequential events, one slot.
 	e := NewEngine()
-	stale := e.At(Nanosecond, func() {})
+	e.At(Nanosecond, func() {})
 	e.RunAll()
 	fired := false
-	fresh := e.At(2*Nanosecond, func() { fired = true })
-	stale.Cancel() // refers to a recycled slot; must be a no-op
+	e.At(2*Nanosecond, func() { fired = true })
 	e.RunAll()
 	if !fired {
-		t.Fatal("stale Cancel killed a recycled slot's event")
+		t.Fatal("event in a recycled slot did not fire")
 	}
-	if !fresh.Valid() {
-		t.Fatal("fresh id invalid")
-	}
-	// The slab must actually recycle: two sequential events, one slot.
 	if len(e.events) != 1 {
 		t.Fatalf("slab grew to %d slots for sequential events", len(e.events))
-	}
-}
-
-func TestEngineCancelInsideCallback(t *testing.T) {
-	// Cancelling from inside a running event — the common JBSQ re-arm
-	// pattern — must work even when it triggers compaction mid-run.
-	e := NewEngine()
-	var ids []EventID
-	cancelled := 0
-	for i := 0; i < 100; i++ {
-		ids = append(ids, e.At(10*Nanosecond, func() { cancelled++ }))
-	}
-	e.At(5*Nanosecond, func() {
-		for _, id := range ids {
-			id.Cancel()
-		}
-	})
-	e.RunAll()
-	if cancelled != 0 {
-		t.Fatalf("%d cancelled events fired", cancelled)
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending = %d", e.Pending())
 	}
 }
 
@@ -455,40 +406,23 @@ func TestEngineArgPastClamped(t *testing.T) {
 	}
 }
 
-func TestEngineArgCancelDropsPayload(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	payload := &struct{ x int }{1}
-	id := e.AtArg(10*Nanosecond, func(any, int64) { fired = true }, payload, 7)
-	idx := id.idx
-	id.Cancel()
-	if e.events[idx].arg != nil || e.events[idx].actArg != nil {
-		t.Fatal("cancel must drop the payload and callback references")
-	}
-	e.RunAll()
-	if fired {
-		t.Fatal("cancelled arg event fired")
-	}
-	// The released slot must recycle cleanly into a plain event.
-	ran := false
-	id2 := e.After(Nanosecond, func() { ran = true })
-	if id2.idx != idx {
-		t.Fatalf("expected slot %d to recycle, got %d", idx, id2.idx)
-	}
-	e.RunAll()
-	if !ran {
-		t.Fatal("recycled slot did not fire")
-	}
-}
-
 func TestEngineArgFiringClearsSlot(t *testing.T) {
+	// A fired slot keeps neither its callback nor its payload, whether
+	// the payload is an AtArg pointer or an At thunk.
 	e := NewEngine()
 	payload := &struct{ x int }{1}
-	id := e.AtArg(Nanosecond, func(any, int64) {}, payload, 0)
-	idx := id.idx
-	e.RunAll()
-	if ev := &e.events[idx]; ev.arg != nil || ev.actArg != nil || ev.act != nil {
-		t.Fatal("fired arg event must not retain its payload or callbacks")
+	for _, schedule := range []func(){
+		func() { e.AtArg(e.Now()+Nanosecond, func(any, int64) {}, payload, 0) },
+		func() { e.At(e.Now()+Nanosecond, func() {}) },
+	} {
+		schedule()
+		e.RunAll()
+		if len(e.events) != 1 {
+			t.Fatalf("slab grew to %d slots for sequential events", len(e.events))
+		}
+		if ev := &e.events[0]; ev.arg != nil || ev.act != nil {
+			t.Fatal("fired event must not retain its payload or callback")
+		}
 	}
 }
 

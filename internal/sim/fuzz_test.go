@@ -9,20 +9,22 @@ import (
 // The fuzzer drives the production timer wheel and a deliberately tiny
 // wheel (16-tick buckets, 8 slots, so the fuzz inputs constantly cross
 // bucket boundaries and overflow into the far heap) through the same
-// schedule/cancel/run script decoded from the fuzz input, then demands
+// schedule/rearm/run script decoded from the fuzz input, then demands
 // both match a container/heap oracle on firing order, firing times,
-// clock, and pending counts. Chained
-// schedules (callbacks that schedule from inside the event loop)
-// exercise the release-before-run slot reuse; cancels of stale ids
-// exercise the generation guard; far-horizon deltas (raw%7==3 scales
-// the delta by 2^14) exercise the wheel's overflow heap and the
-// empty-wheel fast-forward.
+// clock, and pending counts, and that neither wheel's cursor ever passes
+// the clock (base ≤ now). Chained schedules (callbacks that schedule
+// from inside the event loop) exercise slot reuse; self-rearming events
+// exercise Engine.Rearm; far-horizon deltas (raw%7==3 scales the delta
+// by 2^14) exercise the wheel's overflow heap and the empty-wheel
+// fast-forward.
 
 type oracleEvent struct {
 	at    Time
 	seq   uint64
 	id    int
 	chain Time // schedule a child this far after firing; 0 = none
+	every Time // period of a self-rearming event
+	reps  int  // rearms left
 }
 
 type oracleHeap []oracleEvent
@@ -45,56 +47,34 @@ func (h *oracleHeap) Pop() any {
 }
 
 // oracle is the reference semantics of Engine built on container/heap.
-// Cancelled events stay in the heap as dead entries (as in the engine)
-// because they are observable: Run only advances the clock to its
-// horizon when the heap — dead entries included — is empty, and the
-// engine compacts dead entries away only when they outnumber live ones.
 type oracle struct {
-	h         oracleHeap
-	now       Time
-	seq       uint64
-	nextID    int
-	cancelled map[int]bool
-	fired     map[int]bool
-	pending   int
-	log       []int  // firing order
-	logAt     []Time // firing times
+	h      oracleHeap
+	now    Time
+	seq    uint64
+	nextID int
+	log    []int  // firing order
+	logAt  []Time // firing times
 }
 
-func newOracle() *oracle {
-	return &oracle{cancelled: map[int]bool{}, fired: map[int]bool{}}
-}
-
-func (o *oracle) schedule(at Time, chain Time) int {
-	if at < o.now {
-		at = o.now
+func (o *oracle) push(ev oracleEvent) {
+	if ev.at < o.now {
+		ev.at = o.now
 	}
-	id := o.nextID
-	o.nextID++
-	heap.Push(&o.h, oracleEvent{at: at, seq: o.seq, id: id, chain: chain})
+	ev.seq = o.seq
 	o.seq++
-	o.pending++
-	return id
+	heap.Push(&o.h, ev)
 }
 
-func (o *oracle) cancel(id int) {
-	if o.fired[id] || o.cancelled[id] {
-		return
-	}
-	o.cancelled[id] = true
-	o.pending--
-	// Mirror Engine.Cancel's compaction trigger: once dead entries
-	// outnumber live ones, they are swept from the heap.
-	if n := o.h.Len(); n > 1 && n-o.pending > n/2 {
-		kept := o.h[:0]
-		for _, ev := range o.h {
-			if !o.cancelled[ev.id] {
-				kept = append(kept, ev)
-			}
-		}
-		o.h = kept
-		heap.Init(&o.h)
-	}
+func (o *oracle) schedule(at Time, chain Time) {
+	o.push(oracleEvent{at: at, id: o.nextID, chain: chain})
+	o.nextID++
+}
+
+// scheduleRearm mirrors rig.scheduleRearm: first firing at now+every,
+// then reps more, each every after the last.
+func (o *oracle) scheduleRearm(every Time, reps int) {
+	o.push(oracleEvent{at: o.now + every, id: o.nextID, every: every, reps: reps})
+	o.nextID++
 }
 
 // run pops until the horizon (or fully, when all is true).
@@ -105,39 +85,37 @@ func (o *oracle) run(until Time, all bool) {
 			return
 		}
 		heap.Pop(&o.h)
-		if o.cancelled[top.id] {
-			continue
-		}
-		o.pending--
 		o.now = top.at
-		o.fired[top.id] = true
 		o.log = append(o.log, top.id)
 		o.logAt = append(o.logAt, top.at)
 		if top.chain > 0 {
 			o.schedule(o.now+top.chain, 0)
 		}
+		if top.reps > 0 {
+			top.at = o.now + top.every
+			top.reps--
+			o.push(top)
+		}
 	}
 	// Engine.Run advances the clock to the horizon when it drains the
-	// heap entirely (dead entries block this, hence the check above).
+	// heap entirely.
 	if !all && o.now < until {
 		o.now = until
 	}
 }
 
-// rig wraps one Engine under differential test with its own firing log
-// and id table, so several wheel geometries can replay the same script
-// independently.
+// rig wraps one Engine under differential test with its own firing log,
+// so several wheel geometries can replay the same script independently.
 type rig struct {
 	name   string
 	eng    *Engine
 	log    []int
 	logAt  []Time
-	ids    map[int]EventID
 	nextID int
 }
 
 func newRig(name string, eng *Engine) *rig {
-	return &rig{name: name, eng: eng, ids: map[int]EventID{}}
+	return &rig{name: name, eng: eng}
 }
 
 func (r *rig) mkAct(id int, chain Time) func() {
@@ -147,7 +125,7 @@ func (r *rig) mkAct(id int, chain Time) func() {
 		if chain > 0 {
 			cid := r.nextID
 			r.nextID++
-			r.ids[cid] = r.eng.After(chain, r.mkAct(cid, 0))
+			r.eng.After(chain, r.mkAct(cid, 0))
 		}
 	}
 }
@@ -155,7 +133,37 @@ func (r *rig) mkAct(id int, chain Time) func() {
 func (r *rig) schedule(delta, chain Time) {
 	id := r.nextID
 	r.nextID++
-	r.ids[id] = r.eng.At(r.eng.Now()+delta, r.mkAct(id, chain))
+	r.eng.At(r.eng.Now()+delta, r.mkAct(id, chain))
+}
+
+// scheduleRearm schedules an event that fires every after now and then
+// Rearms itself reps times at the same period.
+func (r *rig) scheduleRearm(every Time, reps int) {
+	id := r.nextID
+	r.nextID++
+	r.eng.After(every, func() {
+		r.log = append(r.log, id)
+		r.logAt = append(r.logAt, r.eng.Now())
+		if reps > 0 {
+			reps--
+			r.eng.Rearm(every)
+		}
+	})
+}
+
+// check fails t unless the rig's clock and queue length match the
+// oracle's and its wheel cursor has not passed the clock.
+func (r *rig) check(t *testing.T, o *oracle, seed int64, op int) {
+	t.Helper()
+	if r.eng.Now() != o.now {
+		t.Fatalf("seed %d op %d [%s]: Now() = %v, oracle %v", seed, op, r.name, r.eng.Now(), o.now)
+	}
+	if r.eng.Pending() != o.h.Len() {
+		t.Fatalf("seed %d op %d [%s]: Pending() = %d, oracle %d", seed, op, r.name, r.eng.Pending(), o.h.Len())
+	}
+	if b := r.eng.wheel.base; b > r.eng.Now() {
+		t.Fatalf("seed %d op %d [%s]: wheel base %v past Now() %v", seed, op, r.name, b, r.eng.Now())
+	}
 }
 
 func FuzzEngine(f *testing.F) {
@@ -167,15 +175,19 @@ func FuzzEngine(f *testing.F) {
 	// beyond the tiny wheel's window, then near events, then a bounded
 	// run crossing the boundary, then drain.
 	f.Add([]byte{0, 255, 0, 0, 6, 1, 0, 0, 16, 2, 255, 255, 3})
-	// Dead-far rewind: schedule a far event, cancel it, drain (pops the
-	// dead entry, fast-forwarding the wheel), then schedule near again.
+	// Far then near: a far event, a zero-period one-shot through the
+	// rearm op, a drain (fast-forwarding the wheel to the far event),
+	// then a near chaining event.
 	f.Add([]byte{0, 24, 0, 1, 0, 0, 3, 0, 100, 0, 3})
+	// Rearm chains: a 67-tick and a 2060-tick period with 3 rearms
+	// each, bounded runs between, then a far period with 4 rearms.
+	f.Add([]byte{1, 0x1f, 0x02, 1, 0x63, 0x40, 2, 0xff, 0x7f, 1, 0x7c, 0x00, 2, 0x00, 0x10, 3})
 	// Slot stepping: events spread over many buckets, a bounded run
 	// that leaves some behind, then a short event behind the cursor.
 	f.Add([]byte{0, 16, 0, 0, 32, 0, 0, 64, 0, 0, 128, 0, 2, 64, 0, 0, 8, 0, 3})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		o := newOracle()
+		o := &oracle{}
 		rigs := []*rig{
 			newRig("wheel", NewEngine()),
 			// Tiny wheel: 2^4-tick buckets, 2^3 slots — a 128-tick
@@ -217,24 +229,18 @@ func FuzzEngine(f *testing.F) {
 					r.schedule(delta, chain)
 				}
 				o.schedule(o.now+delta, chain)
-			case 1: // cancel an arbitrary id (maybe fired/cancelled already)
-				if o.nextID > 0 {
-					k := int(u16(i)) % o.nextID
-					i += 2
-					for _, r := range rigs {
-						r.ids[k].Cancel()
-					}
-					o.cancel(k)
-					// Double cancel must be a no-op.
-					if k%3 == 0 {
-						for _, r := range rigs {
-							r.ids[k].Cancel()
-						}
-						o.cancel(k)
-					}
-				} else {
-					i += 2
+			case 1: // self-rearming event: reps 0..4, period up to 8191 ticks or far
+				raw := u16(i)
+				i += 2
+				reps := int(raw % 5)
+				every := Time(raw >> 3)
+				if raw%11 == 3 {
+					every <<= 14
 				}
+				for _, r := range rigs {
+					r.scheduleRearm(every, reps)
+				}
+				o.scheduleRearm(every, reps)
 			case 2: // bounded run
 				d := Time(u16(i))
 				i += 2
@@ -253,12 +259,7 @@ func FuzzEngine(f *testing.F) {
 				if r.eng.Now() < lastNow {
 					t.Fatalf("op %d [%s]: clock moved backwards %v -> %v", ops, r.name, lastNow, r.eng.Now())
 				}
-				if r.eng.Now() != o.now {
-					t.Fatalf("op %d [%s]: Now() = %v, oracle %v", ops, r.name, r.eng.Now(), o.now)
-				}
-				if r.eng.Pending() != o.pending {
-					t.Fatalf("op %d [%s]: Pending() = %d, oracle %d", ops, r.name, r.eng.Pending(), o.pending)
-				}
+				r.check(t, o, 0, ops)
 			}
 			lastNow = o.now
 		}

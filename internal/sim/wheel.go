@@ -27,16 +27,18 @@ import "math/bits"
 //   - occ is an occupancy bitmap over slots; advancing the cursor scans
 //     it word-wise, so sparse stretches cost O(slots/64) instead of one
 //     step per empty bucket. smin tracks each occupied slot's minimum
-//     timestamp (dead entries included), which makes peek exact without
-//     sorting a slot before its bucket is due.
+//     timestamp, which makes peek exact without sorting a slot before
+//     its bucket is due.
 //   - curq is the cursor bucket's drain buffer: the slot's entries are
 //     moved there and sorted by (at, seq) when the cursor lands on the
 //     bucket, restoring the global (at, seq) FIFO tie-break order.
 //     In-bucket pushes (d < G) insert in order directly.
 //
-// Peek never mutates the cursor: base only advances inside wpop, when a
-// pop is guaranteed, so a Run(until) that stops short of the next event
-// cannot strand base past now (pushes assume at ≥ base after wrewind).
+// Invariant: base ≤ now ≤ at on every push. at ≥ now because scheduling
+// clamps to now; base ≤ now because base moves only in wpop, to the
+// bucket of the event about to fire, and an empty wheel rebases to now's
+// bucket. Peek never mutates the cursor, so a Run(until) that stops
+// short of the next event cannot strand base past now.
 type timerWheel struct {
 	gBits    uint // log2 of bucket width in picoseconds
 	slotMask int  // len(slots)-1; len(slots) is a power of two
@@ -49,7 +51,7 @@ type timerWheel struct {
 	occ      []uint64 // occupancy bitmap over slots
 	curq     []int32  // cursor bucket drained in (at, seq) order
 	curHead  int      // next undrained index into curq
-	count    int      // entries in slots+curq (dead included; far excluded)
+	count    int      // entries in slots+curq (far excluded)
 	far      []int32  // min-heap of slab indices keyed (at, seq), at ≥ base+window
 }
 
@@ -108,19 +110,13 @@ func (e *Engine) wpush(i int32) {
 	w := e.wheel
 	at := e.events[i].at
 	if w.count == 0 && len(w.far) == 0 {
-		// Empty scheduler: rebase to the entry so a long event-free
-		// stretch (Run past the horizon) cannot strand the window
-		// behind now and spill near events into the far heap.
-		w.base = at &^ (w.gsize - 1)
-		w.cur = w.slotOf(at)
+		// Empty scheduler: rebase to now so a long event-free stretch
+		// (Run past the horizon) cannot strand the window behind now
+		// and spill near events into the far heap.
+		w.base = e.now &^ (w.gsize - 1)
+		w.cur = w.slotOf(e.now)
 	}
-	d := at - w.base
-	if d < 0 {
-		// The cursor ran ahead of now (a dead entry popped in the
-		// future advanced it without firing anything); rewind.
-		e.wrewind(at)
-		d = at - w.base
-	}
+	d := at - w.base // ≥ 0: base ≤ now ≤ at
 	if d >= w.window {
 		e.farPush(i)
 		return
@@ -182,70 +178,8 @@ func (e *Engine) winsertCur(i int32) {
 	w.curq = q
 }
 
-// wrewind moves the cursor backwards to at's bucket. This is the rare
-// repair path for pushes below base: popping a dead entry advances the
-// cursor without advancing now, so a later push at ≥ now can land
-// before base. Ring entries whose timestamps fall outside the rewound
-// window spill to the far heap; migration brings them back as the
-// cursor re-advances.
-func (e *Engine) wrewind(at Time) {
-	w := e.wheel
-	newBase := at &^ (w.gsize - 1)
-	oldCur := w.cur
-	delta := w.base - newBase
-	if delta >= w.window {
-		// Rewound past a full lap: every ring entry is now out of
-		// window. Spill everything.
-		for k := w.curHead; k < len(w.curq); k++ {
-			e.farPush(w.curq[k])
-		}
-		w.curq = w.curq[:0]
-		w.curHead = 0
-		for word, m := range w.occ {
-			for m != 0 {
-				s := word<<6 + bits.TrailingZeros64(m)
-				m &= m - 1
-				for _, i := range w.slots[s] {
-					e.farPush(i)
-				}
-				w.slots[s] = w.slots[s][:0]
-			}
-			w.occ[word] = 0
-		}
-		w.count = 0
-	} else {
-		// Return the cursor bucket's undrained remainder to its ring
-		// slot (its times stay in window), then spill the ring range
-		// [newCur, oldCur): under the old window those slots held the
-		// band [newBase+window, base+window), which the rewound window
-		// no longer covers.
-		if rem := w.curq[w.curHead:]; len(rem) > 0 {
-			w.slots[oldCur] = append(w.slots[oldCur][:0], rem...)
-			w.occ[oldCur>>6] |= 1 << uint(oldCur&63)
-			// rem is (at, seq)-sorted, so its head holds the minimum.
-			w.smin[oldCur] = e.events[rem[0]].at
-		}
-		w.curq = w.curq[:0]
-		w.curHead = 0
-		newCur := w.slotOf(newBase)
-		for s := newCur; s != oldCur; s = (s + 1) & w.slotMask {
-			if w.occ[s>>6]&(1<<uint(s&63)) == 0 {
-				continue
-			}
-			for _, i := range w.slots[s] {
-				e.farPush(i)
-				w.count--
-			}
-			w.slots[s] = w.slots[s][:0]
-			w.occ[s>>6] &^= 1 << uint(s&63)
-		}
-	}
-	w.base = newBase
-	w.cur = w.slotOf(newBase)
-}
-
-// wpop removes and returns the earliest entry (dead included). The
-// caller guarantees the scheduler is non-empty.
+// wpop removes and returns the earliest entry. The caller guarantees
+// the scheduler is non-empty.
 //
 //altolint:hotpath
 func (e *Engine) wpop() int32 {
@@ -388,8 +322,8 @@ func (e *Engine) maxSiftDown(q []int32, i, n int) {
 	}
 }
 
-// wpeekAt returns the earliest queued timestamp (dead entries included)
-// without moving the cursor.
+// wpeekAt returns the earliest queued timestamp without moving the
+// cursor.
 //
 //altolint:hotpath
 func (e *Engine) wpeekAt() (Time, bool) {
@@ -407,68 +341,8 @@ func (e *Engine) wpeekAt() (Time, bool) {
 	return 0, false
 }
 
-// wlen counts queued entries, dead included — the population the
-// compaction trigger compares against the live count.
+// wlen counts queued entries.
 func (e *Engine) wlen() int { return e.wheel.count + len(e.wheel.far) }
-
-// wcompact drops dead entries from the drain buffer, the ring and the
-// far heap, releasing their slots. Linear in queued entries; amortised
-// O(1) per cancellation since it only runs when dead entries dominate.
-func (e *Engine) wcompact() {
-	w := e.wheel
-	kept := w.curq[:0]
-	for _, i := range w.curq[w.curHead:] {
-		if e.events[i].dead {
-			e.dropDead(i)
-			w.count--
-		} else {
-			kept = append(kept, i)
-		}
-	}
-	w.curq = kept
-	w.curHead = 0
-	for word := range w.occ {
-		m := w.occ[word]
-		for m != 0 {
-			s := word<<6 + bits.TrailingZeros64(m)
-			m &= m - 1
-			lst := w.slots[s]
-			kl := lst[:0]
-			for _, i := range lst {
-				if e.events[i].dead {
-					e.dropDead(i)
-					w.count--
-				} else {
-					kl = append(kl, i)
-				}
-			}
-			w.slots[s] = kl
-			if len(kl) == 0 {
-				w.occ[s>>6] &^= 1 << uint(s&63)
-				continue
-			}
-			mn := e.events[kl[0]].at
-			for _, i := range kl[1:] {
-				if at := e.events[i].at; at < mn {
-					mn = at
-				}
-			}
-			w.smin[s] = mn
-		}
-	}
-	fk := w.far[:0]
-	for _, i := range w.far {
-		if e.events[i].dead {
-			e.dropDead(i)
-		} else {
-			fk = append(fk, i)
-		}
-	}
-	w.far = fk
-	for k := len(w.far)/2 - 1; k >= 0; k-- {
-		e.farSiftDown(k)
-	}
-}
 
 // Far heap: a classic binary min-heap of slab indices keyed (at, seq),
 // holding everything at or beyond base+window.

@@ -8,13 +8,14 @@ import (
 // TestEngineWheelRandomEquivalence is the randomized wheel-vs-oracle
 // equivalence property test: the production wheel and a tiny wheel
 // replay identical random scripts (near, far, past and chained
-// schedules; cancels; bounded runs; drains) and must agree with the
-// container/heap oracle of fuzz_test.go on the clock, the pending count
-// and the complete firing log.
+// schedules; self-rearming events; bounded runs; drains) and must agree
+// with the container/heap oracle of fuzz_test.go on the clock, the
+// pending count and the complete firing log, with each wheel's cursor
+// never past the clock.
 func TestEngineWheelRandomEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		ref := newOracle()
+		ref := &oracle{}
 		rigs := []*rig{
 			newRig("wheel", NewEngine()),
 			newRig("wheel4x3", newEngineWheel(4, 3)),
@@ -41,14 +42,16 @@ func TestEngineWheelRandomEquivalence(t *testing.T) {
 					r.schedule(delta, chain)
 				}
 				ref.schedule(ref.now+delta, chain)
-			case k < 7: // cancel a random id, possibly stale
-				if ref.nextID > 0 {
-					id := rng.Intn(ref.nextID)
-					for _, r := range rigs {
-						r.ids[id].Cancel()
-					}
-					ref.cancel(id)
+			case k < 7: // self-rearming event, near or far period
+				every := Time(rng.Intn(1 << 13))
+				if rng.Intn(4) == 0 {
+					every += Time(1) << (wheelGBits + wheelSlotBits)
 				}
+				reps := rng.Intn(5)
+				for _, r := range rigs {
+					r.scheduleRearm(every, reps)
+				}
+				ref.scheduleRearm(every, reps)
 			case k < 9: // bounded run
 				d := Time(rng.Intn(1 << 23))
 				for _, r := range rigs {
@@ -62,12 +65,7 @@ func TestEngineWheelRandomEquivalence(t *testing.T) {
 				ref.run(0, true)
 			}
 			for _, r := range rigs {
-				if r.eng.Now() != ref.now {
-					t.Fatalf("seed %d op %d: [%s] Now() = %v, oracle %v", seed, op, r.name, r.eng.Now(), ref.now)
-				}
-				if r.eng.Pending() != ref.pending {
-					t.Fatalf("seed %d op %d: [%s] Pending() = %d, oracle %d", seed, op, r.name, r.eng.Pending(), ref.pending)
-				}
+				r.check(t, ref, seed, op)
 			}
 		}
 		for _, r := range rigs {
@@ -131,43 +129,10 @@ func TestEngineFastForward(t *testing.T) {
 	}
 }
 
-// TestEngineWheelCancelCompaction: cancelling the bulk of a queue
-// spanning the ring and the far heap must compact dead entries away and
-// keep Pending exact.
-func TestEngineWheelCancelCompaction(t *testing.T) {
-	e := NewEngine()
-	const n = 4096
-	ids := make([]EventID, n)
-	fired := 0
-	for i := range ids {
-		// 10 ns spacing spreads the population across ring buckets and
-		// well past the ~4.2 µs window into the far heap.
-		ids[i] = e.After(Time(i)*10*Nanosecond, func() { fired++ })
-	}
-	live := 0
-	for i := range ids {
-		if i%8 != 0 {
-			ids[i].Cancel()
-		} else {
-			live++
-		}
-	}
-	if e.Pending() != live {
-		t.Fatalf("Pending() = %d, want %d", e.Pending(), live)
-	}
-	if q := e.wlen(); q > 2*live {
-		t.Fatalf("wheel kept %d entries for %d live events: compaction did not run", q, live)
-	}
-	if got := e.RunAll(); got != uint64(live) || fired != live {
-		t.Fatalf("RunAll executed %d events (fired %d), want %d", got, fired, live)
-	}
-}
-
 // TestEngineWheelBoundary drives a tiny wheel (16-tick buckets, 8
-// slots, 128-tick window) through the edge paths: the exact window
-// boundary, the dead-entry cursor advance, the partial rewind that
-// spills a no-longer-covered ring slot to the far heap, and the
-// full-lap rewind after a far fast-forward.
+// slots, 128-tick window) through the exact window boundary and the
+// empty-wheel rebase, which anchors the window at now's bucket rather
+// than at the first push's.
 func TestEngineWheelBoundary(t *testing.T) {
 	t.Run("window-edge", func(t *testing.T) {
 		e := newEngineWheel(4, 3)
@@ -175,8 +140,8 @@ func TestEngineWheelBoundary(t *testing.T) {
 		mk := func() func() {
 			return func() { at = append(at, e.Now()) }
 		}
-		// With base anchored at 0 by the first push, 127 is the last
-		// in-window tick and 128 the first far one.
+		// With base anchored at now = 0 by the first push, 127 is the
+		// last in-window tick and 128 the first far one.
 		e.At(0, mk())
 		e.At(127, mk())
 		e.At(128, mk())
@@ -195,100 +160,27 @@ func TestEngineWheelBoundary(t *testing.T) {
 		}
 	})
 
-	t.Run("partial-rewind", func(t *testing.T) {
+	t.Run("push-behind-first-push", func(t *testing.T) {
 		e := newEngineWheel(4, 3)
 		var at []Time
 		mk := func() func() {
 			return func() { at = append(at, e.Now()) }
 		}
-		// The first push rebases the empty wheel to its bucket: base 32,
-		// window [32, 160). Run(50) pops only the dead entry, leaving
-		// now at 0 — strictly below base (B at 100 keeps the queue
-		// non-empty, so the clock does not jump to the horizon).
-		e.At(40, mk()).Cancel()
-		e.At(100, mk())
-		if n := e.Run(50); n != 0 {
-			t.Fatalf("Run fired %d events, want 0", n)
+		// An idle Run parks the clock at 1000. The first push, at 1100,
+		// rebases the empty wheel to now's bucket (992), not its own
+		// (1088), so a second push behind it at 1010 lands in the same
+		// window [992, 1120) and nothing spills to the far heap.
+		e.Run(1000)
+		e.At(1100, mk())
+		e.At(1010, mk())
+		if e.wheel.base != 992 {
+			t.Fatalf("base = %v, want 992 (now's bucket)", e.wheel.base)
 		}
-		if e.Now() != 0 {
-			t.Fatalf("Now() = %v after popping only a dead entry", e.Now())
-		}
-		if e.wheel.base != 32 {
-			t.Fatalf("base = %v, want 32 (rebased to the first push)", e.wheel.base)
-		}
-		// D at 130 sits in ring slot 0 under base 32; the rewind for C
-		// at 10 shrinks the window to [0,128) and must spill D to far.
-		e.At(130, mk())
-		e.At(10, mk())
-		if e.wheel.base != 0 {
-			t.Fatalf("base = %v after rewinding push, want 0", e.wheel.base)
-		}
-		if len(e.wheel.far) != 1 {
-			t.Fatalf("rewind did not spill the out-of-window entry (far len %d)", len(e.wheel.far))
+		if len(e.wheel.far) != 0 || e.wheel.count != 2 {
+			t.Fatalf("ring holds %d and far heap %d entries, want 2 and 0", e.wheel.count, len(e.wheel.far))
 		}
 		e.RunAll()
-		want := []Time{10, 100, 130}
-		if len(at) != len(want) {
-			t.Fatalf("fired %d events, want %d", len(at), len(want))
-		}
-		for i := range want {
-			if at[i] != want[i] {
-				t.Fatalf("firing %d at %v, want %v", i, at[i], want[i])
-			}
-		}
-	})
-
-	t.Run("full-lap-rewind", func(t *testing.T) {
-		e := newEngineWheel(4, 3)
-		var at []Time
-		mk := func() func() {
-			return func() { at = append(at, e.Now()) }
-		}
-		// The first push anchors base at 9984 (bucket of 10000); the
-		// push at 5 then rewinds by far more than one lap, so every
-		// ring entry must spill to the far heap and migrate back.
-		e.At(10000, mk())
-		e.At(20000, mk())
-		if len(e.wheel.far) != 1 {
-			t.Fatalf("far len %d before rewind, want 1", len(e.wheel.far))
-		}
-		e.At(5, mk())
-		if e.wheel.base != 0 {
-			t.Fatalf("base = %v after full-lap rewind, want 0", e.wheel.base)
-		}
-		if len(e.wheel.far) != 2 {
-			t.Fatalf("full-lap rewind left far len %d, want 2", len(e.wheel.far))
-		}
-		e.RunAll()
-		want := []Time{5, 10000, 20000}
-		if len(at) != len(want) {
-			t.Fatalf("fired %d events, want %d", len(at), len(want))
-		}
-		for i := range want {
-			if at[i] != want[i] {
-				t.Fatalf("firing %d at %v, want %v", i, at[i], want[i])
-			}
-		}
-	})
-
-	t.Run("dead-far-fast-forward", func(t *testing.T) {
-		e := newEngineWheel(4, 3)
-		var at []Time
-		mk := func() func() {
-			return func() { at = append(at, e.Now()) }
-		}
-		// RunAll over a lone dead entry fast-forwards the cursor but
-		// must not move the clock; the empty-scheduler rebase then
-		// re-anchors the window for the near pushes that follow.
-		e.At(10000, mk()).Cancel()
-		e.RunAll()
-		if e.Now() != 0 {
-			t.Fatalf("RunAll over a dead entry moved the clock to %v", e.Now())
-		}
-		e.At(5, mk())
-		e.At(9000, mk())
-		e.RunAll()
-		want := []Time{5, 9000}
+		want := []Time{1010, 1100}
 		if len(at) != len(want) {
 			t.Fatalf("fired %d events, want %d", len(at), len(want))
 		}
@@ -301,8 +193,7 @@ func TestEngineWheelBoundary(t *testing.T) {
 }
 
 // TestEngineRearmSemantics pins the Rearm contract: panic outside a
-// callback, panic on double-Rearm, and cancellability of the returned
-// id.
+// callback, panic on double-Rearm, and one more firing per Rearm.
 func TestEngineRearmSemantics(t *testing.T) {
 	e := NewEngine()
 	func() {
@@ -334,103 +225,8 @@ func TestEngineRearmSemantics(t *testing.T) {
 		t.Fatalf("rearmed event fired %d times, want 2", calls)
 	}
 
-	// Cancelling the id Rearm returns kills the rescheduled firing.
-	calls = 0
-	var rid EventID
-	e.After(Nanosecond, func() {
-		if calls == 0 {
-			rid = e.Rearm(5 * Nanosecond)
-		}
-		calls++
-	})
-	e.After(2*Nanosecond, func() { rid.Cancel() })
-	e.RunAll()
-	if calls != 1 {
-		t.Fatalf("cancelled rearm fired anyway (calls = %d)", calls)
-	}
 	if e.Pending() != 0 {
 		t.Fatalf("Pending() = %d after drain", e.Pending())
-	}
-}
-
-// TestEngineTimerSemantics pins the Timer contract: unarmed at birth,
-// Arm/fire/Arm slot reuse, Arm-while-armed panic, Disarm, the
-// zombie-detach path (Arm after Disarm while the dead entry is still
-// queued), and self-re-Arm from the timer's own callback.
-func TestEngineTimerSemantics(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	tm := e.NewTimer(func() { fired++ })
-	if tm.Armed() {
-		t.Fatal("fresh timer reports armed")
-	}
-	tm.Disarm() // no-op on an unarmed timer
-	tm.Arm(10 * Nanosecond)
-	if !tm.Armed() {
-		t.Fatal("timer not armed after Arm")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Arm on an armed timer did not panic")
-			}
-		}()
-		tm.Arm(20 * Nanosecond)
-	}()
-	e.RunAll()
-	if fired != 1 || e.Now() != 10*Nanosecond {
-		t.Fatalf("fired %d at %v, want 1 at 10ns", fired, e.Now())
-	}
-	if tm.Armed() {
-		t.Fatal("timer still armed after firing")
-	}
-
-	// The fire/Arm cycle reuses the owned slot: no slab growth.
-	slab := len(e.events)
-	tm.Arm(e.Now() + 5*Nanosecond)
-	e.RunAll()
-	if fired != 2 {
-		t.Fatalf("fired %d after re-Arm, want 2", fired)
-	}
-	if len(e.events) != slab {
-		t.Fatalf("re-Arm grew the slab %d -> %d", slab, len(e.events))
-	}
-
-	// Zombie detach: Disarm leaves a dead entry queued; the next Arm
-	// must take a fresh slot and the zombie must never fire.
-	tm.Arm(e.Now() + 7*Nanosecond)
-	tm.Disarm()
-	if tm.Armed() {
-		t.Fatal("timer armed after Disarm")
-	}
-	tm.Arm(e.Now() + 3*Nanosecond)
-	if !tm.Armed() {
-		t.Fatal("timer not armed after zombie re-Arm")
-	}
-	e.RunAll()
-	if fired != 3 {
-		t.Fatalf("fired %d after zombie re-Arm, want 3", fired)
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d after drain", e.Pending())
-	}
-
-	// Self-re-Arm from the callback (Armed is false there).
-	count := 0
-	var tm2 *Timer
-	tm2 = e.NewTimer(func() {
-		count++
-		if tm2.Armed() {
-			t.Error("timer reports armed inside its own callback")
-		}
-		if count < 3 {
-			tm2.Arm(e.Now() + 2*Nanosecond)
-		}
-	})
-	tm2.Arm(e.Now() + 2*Nanosecond)
-	e.RunAll()
-	if count != 3 {
-		t.Fatalf("self-rearming timer fired %d times, want 3", count)
 	}
 }
 
