@@ -1,10 +1,14 @@
 package main
 
 import (
+	"math"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // TestACLayout pins the -cores/-groups resolution: the 16-core tiling
@@ -55,3 +59,45 @@ func TestCoresMustTile(t *testing.T) {
 		t.Fatalf("error does not name the remainder:\n%s", msg)
 	}
 }
+
+// TestTraceFlag runs main with -n 2000 -trace in a subprocess, as
+// TestCoresMustTile does, and reads the file back: one row per request,
+// in ID order, each latency equal to its finish minus its arrival.
+func TestTraceFlag(t *testing.T) {
+	if path := os.Getenv("ALTOSIM_TRACE_OUT"); path != "" {
+		os.Args = []string{"altosim", "-n", "2000", "-trace", path}
+		main()
+		return
+	}
+	path := filepath.Join(t.TempDir(), "trace.csv")
+	cmd := exec.Command(os.Args[0], "-test.run", "^TestTraceFlag$")
+	cmd.Env = append(os.Environ(), "ALTOSIM_TRACE_OUT="+path)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("altosim -trace failed: %v\n%s", err, out)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := trace.ReadCSV(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2000 {
+		t.Fatalf("trace has %d rows, want 2000", len(recs))
+	}
+	for i, rec := range recs {
+		if rec.ID != uint64(i) {
+			t.Fatalf("row %d has id %d, want %d", i, rec.ID, i)
+		}
+		// The columns are whole picoseconds printed as ns to three
+		// decimals; compare them as picoseconds, where the subtraction
+		// is exact.
+		if lat, fin, arr := ps(rec.LatencyNS), ps(rec.FinishNS), ps(rec.ArrivalNS); lat != fin-arr {
+			t.Fatalf("row %d: latency %d ps, finish - arrival %d ps", i, lat, fin-arr)
+		}
+	}
+}
+
+func ps(ns float64) int64 { return int64(math.Round(ns * 1000)) }

@@ -2,6 +2,7 @@ package rpcproto
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -295,11 +296,20 @@ func FuzzUnmarshalInto(f *testing.F) {
 }
 
 // TestRequestFootprint is the tripwire on the hot struct: every arena
-// slot, every record of a run's Result and every copy between them pays
-// for each byte of Request, phased or not.
+// slot and every request a scheduler moves pays for each byte of
+// Request, phased or not.
 func TestRequestFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(Request{}); got > 160 {
 		t.Fatalf("rpcproto.Request is %d bytes, want <= 160: per-phase state belongs in the sidecar (PhaseVec), which only phased requests carry", got)
+	}
+}
+
+// TestRecordFootprint is the tripwire on what a finished request leaves
+// behind: a run keeps one Record per request until its Result is dropped,
+// so every byte here is a byte per request of a run's footprint.
+func TestRecordFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got > 56 {
+		t.Fatalf("rpcproto.Record is %d bytes, want <= 56: in-flight state belongs on Request, not on the completion record", got)
 	}
 }
 
@@ -310,5 +320,87 @@ func TestRequestFootprint(t *testing.T) {
 func TestPhaseVecFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(PhaseVec{}); got > 136 {
 		t.Fatalf("rpcproto.PhaseVec is %d bytes, want <= 136: per-profile constants belong in the PhasePlan it points at", got)
+	}
+}
+
+// fillDistinct sets every field reachable from v to a non-zero value,
+// integers and floats each to the next value of *next, so no two
+// numeric fields hold the same one: pointers get a filled pointee,
+// slices one filled element, funcs a no-op.
+func fillDistinct(t *testing.T, v reflect.Value, next *uint64) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillDistinct(t, v.Field(i), next)
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fillDistinct(t, v.Index(i), next)
+		}
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillDistinct(t, v.Elem(), next)
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		fillDistinct(t, v.Index(0), next)
+	case reflect.Func:
+		v.Set(reflect.MakeFunc(v.Type(), func([]reflect.Value) []reflect.Value { return nil }))
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		*next++
+		v.SetInt(int64(*next))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		*next++
+		v.SetUint(*next)
+	case reflect.Float32, reflect.Float64:
+		*next++
+		v.SetFloat(float64(*next))
+	default:
+		t.Fatalf("fillDistinct: no rule for %s", v.Type())
+	}
+}
+
+// TestRecordFillParity holds Record to Request: every Record field must
+// name a Request field, and Fill must carry each one over. A field added
+// to Record but not to Fill reads back zero and fails here, as does a
+// record whose sidecar aliases the request's instead of holding a copy.
+func TestRecordFillParity(t *testing.T) {
+	var r Request
+	var next uint64
+	fillDistinct(t, reflect.ValueOf(&r).Elem(), &next)
+
+	var rec Record
+	var side PhaseVec
+	rec.Fill(&r, &side)
+	if rec.PhaseVec != &side {
+		t.Fatalf("phased record's sidecar is %p, want the run-owned copy %p", rec.PhaseVec, &side)
+	}
+
+	reqV, recV := reflect.ValueOf(r), reflect.ValueOf(rec)
+	for i := 0; i < recV.NumField(); i++ {
+		name := recV.Type().Field(i).Name
+		sf, ok := reqV.Type().FieldByName(name)
+		if !ok || len(sf.Index) != 1 {
+			t.Errorf("Record.%s has no field of that name on Request", name)
+			continue
+		}
+		got, want := recV.Field(i), reqV.FieldByIndex(sf.Index)
+		var equal bool
+		if got.CanInt() && want.CanInt() { // GroupHint narrows int to int32
+			equal = got.Int() == want.Int()
+		} else {
+			equal = got.Type() == want.Type() && reflect.DeepEqual(got.Interface(), want.Interface())
+		}
+		if !equal {
+			t.Errorf("Record.%s = %v after Fill, Request.%s = %v", name, got, name, want)
+		}
+	}
+
+	r.PhaseVec = nil
+	rec.Fill(&r, nil)
+	if rec.PhaseVec != nil {
+		t.Fatalf("bare request's record kept sidecar %p", rec.PhaseVec)
 	}
 }

@@ -134,12 +134,16 @@ type Workload struct {
 
 // Result is one run's measurements.
 type Result struct {
-	Name       string
-	Lat        *stats.Sample
-	SLO        sim.Time
-	Summary    stats.Summary
-	Requests   []*rpcproto.Request // indexed by request ID
-	Duration   sim.Time            // last completion time
+	Name    string
+	Lat     *stats.Sample
+	SLO     sim.Time
+	Summary stats.Summary
+	// Requests holds one completion record per request, indexed by
+	// request ID: the fields the replay analyses, tenant digests and
+	// trace writers read. A finished request's in-flight state (payload,
+	// queue, preemption and forwarding fields) is not kept.
+	Requests   []*rpcproto.Record
+	Duration   sim.Time // last completion time
 	OfferedRPS float64
 	DoneRPS    float64 // completed / duration
 	// ACStats covers the workload interval: the run ends at the last
@@ -174,9 +178,10 @@ type server struct {
 // more servers. All callbacks are bound once at run start and requests
 // ride through the engine as AtArg/AfterArg payloads, so steady-state
 // generation, arrival, and delivery allocate nothing: requests live in
-// the arena's slots while in flight and are copied into the records
-// value slab (which backs res.Requests) at completion, when every field
-// is final. A phased request's sidecar is copied with it into
+// the arena's slots while in flight, and at completion, when every field
+// is final, what the run keeps of one is filled into its element of the
+// records slab (which backs res.Requests): a 56 B rpcproto.Record, not
+// the in-flight Request. A phased request's sidecar is copied into
 // phaseRecords, because the arena's goes to the slot's next request.
 type gen struct {
 	eng    *sim.Engine
@@ -192,7 +197,7 @@ type gen struct {
 
 	ar           *arena.Arena
 	handles      []arena.RequestID
-	records      []rpcproto.Request
+	records      []rpcproto.Record
 	phaseRecords []rpcproto.PhaseVec // made at the run's first phased completion
 
 	nDone      int
@@ -274,8 +279,8 @@ func (g *gen) deliver(arg any, srv int64) {
 
 // complete is every server's done callback: the last completion stops
 // the engine (nothing after it can change a result), the latency sample
-// and the request record are taken while every field is final, and the
-// arena slot is recycled.
+// and the completion record are taken while every field is final, and
+// the arena slot is recycled.
 func (g *gen) complete(srv int, r *rpcproto.Request) {
 	if g.nDone++; g.nDone == g.wl.N {
 		g.eng.Stop()
@@ -289,17 +294,16 @@ func (g *gen) complete(srv int, r *rpcproto.Request) {
 	if r.Finish > g.res.Duration {
 		g.res.Duration = r.Finish
 	}
-	rec := &g.records[r.ID]
-	*rec = *r
+	var side *rpcproto.PhaseVec
 	if r.PhaseVec != nil {
 		// The record must not alias the arena's sidecar: the slot released
 		// below hands it to the next request.
 		if g.phaseRecords == nil {
 			g.phaseRecords = make([]rpcproto.PhaseVec, g.wl.N)
 		}
-		rec.PhaseVec = &g.phaseRecords[r.ID]
-		*rec.PhaseVec = *r.PhaseVec
+		side = &g.phaseRecords[r.ID]
 	}
+	g.records[r.ID].Fill(r, side)
 	// A stale handle here means a request completed twice — remember the
 	// first occurrence and fail the run after the loop (the checker
 	// reports it too).
@@ -368,7 +372,7 @@ func run(sc *Scratch, rc *RackConfig, cfg Config, wl Workload) (*RackResult, err
 	root := sim.NewRNG(cfg.Seed)
 	res := &Result{
 		Lat:      stats.NewSample(wl.N),
-		Requests: make([]*rpcproto.Request, wl.N),
+		Requests: make([]*rpcproto.Record, wl.N),
 	}
 	rr := &RackResult{Result: res}
 	g := &gen{
@@ -380,7 +384,7 @@ func run(sc *Scratch, rc *RackConfig, cfg Config, wl Workload) (*RackResult, err
 		handles: sc.handles[:wl.N],
 		// The records slab is retained by the Result, so it cannot live
 		// in the Scratch: one allocation per run, not per request.
-		records: make([]rpcproto.Request, wl.N),
+		records: make([]rpcproto.Record, wl.N),
 	}
 	liveBefore := g.ar.Live()
 

@@ -134,8 +134,8 @@ func TestReplayDeterminismAcrossConfigs(t *testing.T) {
 }
 
 func TestClassifyMismatch(t *testing.T) {
-	a := &Result{Requests: make([]*rpcproto.Request, 2)}
-	b := &Result{Requests: make([]*rpcproto.Request, 3)}
+	a := &Result{Requests: make([]*rpcproto.Record, 2)}
+	b := &Result{Requests: make([]*rpcproto.Record, 3)}
 	if _, err := ClassifyMigrations(a, b, us(1)); err == nil {
 		t.Fatal("mismatch should error")
 	}
@@ -145,8 +145,8 @@ func TestClassifyMismatch(t *testing.T) {
 }
 
 func TestPredictionAccuracyNoViolations(t *testing.T) {
-	r := &rpcproto.Request{Arrival: 0, Finish: us(1)}
-	a := &Result{Requests: []*rpcproto.Request{r}}
+	r := &rpcproto.Record{Arrival: 0, Finish: us(1)}
+	a := &Result{Requests: []*rpcproto.Record{r}}
 	acc, err := PredictionAccuracy(a, a, us(10))
 	if err != nil || acc != 1 {
 		t.Fatalf("acc=%v err=%v", acc, err)

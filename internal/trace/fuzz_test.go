@@ -9,12 +9,12 @@ import (
 	"repro/internal/sim"
 )
 
-// FuzzTraceRoundTrip checks that Record -> CSV -> Record and
-// Record -> JSONL -> Record are lossless for any finished request. Time
-// fields are clamped below 2^50 ps (~13 days of simulated time, far
-// beyond any run) so the fixed three-decimal nanosecond format is
-// exact; Finish is forced positive because WriteCSV skips unfinished
-// requests by contract.
+// FuzzTraceRoundTrip checks that rpcproto.Record -> CSV -> Record and
+// rpcproto.Record -> JSONL -> Record are lossless for any finished
+// request. Time fields are clamped below 2^50 ps (~13 days of simulated
+// time, far beyond any run) so the fixed three-decimal nanosecond format
+// is exact; Finish is forced positive because WriteCSV skips unfinished
+// records by contract.
 func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add(uint64(0), uint32(0), uint8(0), uint8(0), int16(0), uint64(0), uint64(1), uint64(1), false, false)
 	f.Add(uint64(1), uint32(7), uint8(2), uint8(1), int16(3), uint64(1000), uint64(500), uint64(2500), true, false)
@@ -26,12 +26,12 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, id uint64, conn uint32, tenant, op uint8, group int16,
 		arrival, service, finish uint64, migrated, predicted bool) {
 		const maxPS = uint64(1) << 50
-		r := &rpcproto.Request{
+		r := &rpcproto.Record{
 			ID:        id,
 			Conn:      conn,
 			Tenant:    tenant,
 			Op:        rpcproto.Op(op % 4),
-			GroupHint: int(group),
+			GroupHint: int32(group),
 			Arrival:   sim.Time(arrival % maxPS),
 			Service:   sim.Time(service % maxPS),
 			Migrated:  migrated,
@@ -39,10 +39,10 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		}
 		// Finish must be positive and late enough that Latency is sane.
 		r.Finish = r.Arrival + r.Service + sim.Time(finish%maxPS) + 1
-		want := FromRequest(r)
+		want := FromRecord(r)
 
 		var csvBuf bytes.Buffer
-		if err := WriteCSV(&csvBuf, []*rpcproto.Request{r}); err != nil {
+		if err := WriteCSV(&csvBuf, []*rpcproto.Record{r}); err != nil {
 			t.Fatalf("WriteCSV: %v", err)
 		}
 		recs, err := ReadCSV(bytes.NewReader(csvBuf.Bytes()))
@@ -57,7 +57,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		}
 
 		var jsonBuf bytes.Buffer
-		if err := WriteJSONL(&jsonBuf, []*rpcproto.Request{r}); err != nil {
+		if err := WriteJSONL(&jsonBuf, []*rpcproto.Record{r}); err != nil {
 			t.Fatalf("WriteJSONL: %v", err)
 		}
 		var got Record
@@ -74,7 +74,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 // (PhaseRecordsOf -> CSV/JSONL -> PhaseRecord) is lossless for any
 // multi-phase chain. Per-phase values derive deterministically from the
 // fuzzed bases via index mixing so each row is distinct: the draws and
-// stamps go to the request's sidecar, the class, speedup and offload to
+// stamps go to the record's sidecar, the class, speedup and offload to
 // its plan. speed picks each phase's speedup in 0..31 (0 neutral), so an
 // accelerated duration never exceeds its base and the same 2^50 ps clamp
 // as FuzzTraceRoundTrip keeps the fixed three-decimal format exact.
@@ -88,7 +88,7 @@ func FuzzPhaseRoundTrip(f *testing.F) {
 		const maxPS = uint64(1) << 50
 		n := int(nphases)%rpcproto.MaxPhases + 1
 		plan := &rpcproto.PhasePlan{}
-		r := &rpcproto.Request{ID: id, NumPhases: uint8(n), Phase: uint8(n - 1), PhaseVec: &rpcproto.PhaseVec{Plan: plan}}
+		r := &rpcproto.Record{ID: id, NumPhases: uint8(n), PhaseVec: &rpcproto.PhaseVec{Plan: plan}}
 		for i := 0; i < n; i++ {
 			mix := uint64(i)*0x9E3779B9 + 1
 			r.PhaseSvc[i] = sim.Time((svc * mix) % maxPS)
@@ -98,14 +98,14 @@ func FuzzPhaseRoundTrip(f *testing.F) {
 			plan.Offload[i] = sim.Time((off * mix) % maxPS)
 			r.Service += r.PhaseSvc[i]
 		}
-		r.Finish = r.PhaseEnd[n-1] + 1 // WritePhaseCSV skips unfinished requests
+		r.Finish = r.PhaseEnd[n-1] + 1 // WritePhaseCSV skips unfinished records
 		want := PhaseRecordsOf(nil, r)
 		if len(want) != n {
 			t.Fatalf("PhaseRecordsOf returned %d records, want %d", len(want), n)
 		}
 
 		var csvBuf bytes.Buffer
-		if err := WritePhaseCSV(&csvBuf, []*rpcproto.Request{r}); err != nil {
+		if err := WritePhaseCSV(&csvBuf, []*rpcproto.Record{r}); err != nil {
 			t.Fatalf("WritePhaseCSV: %v", err)
 		}
 		recs, err := ReadPhaseCSV(bytes.NewReader(csvBuf.Bytes()))
@@ -122,7 +122,7 @@ func FuzzPhaseRoundTrip(f *testing.F) {
 		}
 
 		var jsonBuf bytes.Buffer
-		if err := WritePhaseJSONL(&jsonBuf, []*rpcproto.Request{r}); err != nil {
+		if err := WritePhaseJSONL(&jsonBuf, []*rpcproto.Record{r}); err != nil {
 			t.Fatalf("WritePhaseJSONL: %v", err)
 		}
 		dec := json.NewDecoder(bytes.NewReader(jsonBuf.Bytes()))

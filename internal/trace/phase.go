@@ -27,12 +27,12 @@ type PhaseRecord struct {
 	EndNS     float64 `json:"end_ns"`     // phase completion timestamp
 }
 
-// PhaseRecordsOf expands a completed request into one record per phase,
+// PhaseRecordsOf expands a completion record into one row per phase,
 // appending to dst: the draws and stamps from its sidecar, the class,
 // accelerated duration and offload cost from its profile's plan. A bare
 // request (NumPhases == 0) contributes nothing; a 1-phase chain
 // contributes one record.
-func PhaseRecordsOf(dst []PhaseRecord, r *rpcproto.Request) []PhaseRecord {
+func PhaseRecordsOf(dst []PhaseRecord, r *rpcproto.Record) []PhaseRecord {
 	for i := uint8(0); i < r.NumPhases; i++ {
 		dst = append(dst, PhaseRecord{
 			ID:        r.ID,
@@ -52,10 +52,10 @@ func PhaseRecordsOf(dst []PhaseRecord, r *rpcproto.Request) []PhaseRecord {
 var phaseCSVHeader = []string{"id", "phase", "phases", "class",
 	"service_ns", "acc_ns", "offload_ns", "end_ns"}
 
-// WritePhaseCSV streams the phase rows of completed phased requests as
-// CSV with a header row. Nil, unfinished, and unphased requests are
-// skipped.
-func WritePhaseCSV(w io.Writer, reqs []*rpcproto.Request) error {
+// WritePhaseCSV streams the phase rows of a run's phased completion
+// records as CSV with a header row. Nil, unfinished, and unphased
+// records are skipped.
+func WritePhaseCSV(w io.Writer, reqs []*rpcproto.Record) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(phaseCSVHeader); err != nil {
 		return err
@@ -138,8 +138,9 @@ func parsePhaseRow(row []string) (PhaseRecord, error) {
 	}, nil
 }
 
-// WritePhaseJSONL streams phase records as JSON lines.
-func WritePhaseJSONL(w io.Writer, reqs []*rpcproto.Request) error {
+// WritePhaseJSONL streams the phase rows of a run's phased completion
+// records as JSON lines, skipping the records WritePhaseCSV skips.
+func WritePhaseJSONL(w io.Writer, reqs []*rpcproto.Record) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	var recs []PhaseRecord

@@ -10,18 +10,18 @@ import (
 	"repro/internal/sim"
 )
 
-// phasedRequest builds a finished 3-phase request with distinct values
-// in every per-phase field of its sidecar and its plan.
-func phasedRequest() *rpcproto.Request {
+// phasedRecord builds the completion record of a finished 3-phase
+// request with distinct values in every per-phase field of its sidecar
+// and its plan.
+func phasedRecord() *rpcproto.Record {
 	plan := &rpcproto.PhasePlan{
 		Class:   [rpcproto.MaxPhases]uint8{0, 1, 0},
 		Speedup: [rpcproto.MaxPhases]float64{0, 2, 3},
 		Offload: [rpcproto.MaxPhases]sim.Time{0, sim.Nanosecond, 2 * sim.Nanosecond},
 	}
-	r := &rpcproto.Request{
+	r := &rpcproto.Record{
 		ID:        42,
 		NumPhases: 3,
-		Phase:     2,
 		Arrival:   10 * sim.Nanosecond,
 		Service:   60 * sim.Nanosecond,
 		PhaseVec:  &rpcproto.PhaseVec{Plan: plan},
@@ -35,14 +35,14 @@ func phasedRequest() *rpcproto.Request {
 }
 
 func TestPhaseCSVRoundTrip(t *testing.T) {
-	r := phasedRequest()
+	r := phasedRecord()
 	want := PhaseRecordsOf(nil, r)
 	if len(want) != 3 {
 		t.Fatalf("PhaseRecordsOf returned %d records, want 3", len(want))
 	}
 
 	var buf bytes.Buffer
-	if err := WritePhaseCSV(&buf, []*rpcproto.Request{r}); err != nil {
+	if err := WritePhaseCSV(&buf, []*rpcproto.Record{r}); err != nil {
 		t.Fatalf("WritePhaseCSV: %v", err)
 	}
 	got, err := ReadPhaseCSV(bytes.NewReader(buf.Bytes()))
@@ -60,12 +60,12 @@ func TestPhaseCSVRoundTrip(t *testing.T) {
 }
 
 func TestPhaseCSVSkipsUnphased(t *testing.T) {
-	plain := &rpcproto.Request{ID: 1, Finish: sim.Nanosecond}
-	unfinished := phasedRequest()
+	plain := &rpcproto.Record{ID: 1, Finish: sim.Nanosecond}
+	unfinished := phasedRecord()
 	unfinished.Finish = 0
 
 	var buf bytes.Buffer
-	if err := WritePhaseCSV(&buf, []*rpcproto.Request{plain, nil, unfinished}); err != nil {
+	if err := WritePhaseCSV(&buf, []*rpcproto.Record{plain, nil, unfinished}); err != nil {
 		t.Fatalf("WritePhaseCSV: %v", err)
 	}
 	if lines := strings.Count(buf.String(), "\n"); lines != 1 {
@@ -74,11 +74,11 @@ func TestPhaseCSVSkipsUnphased(t *testing.T) {
 }
 
 func TestPhaseJSONLRoundTrip(t *testing.T) {
-	r := phasedRequest()
+	r := phasedRecord()
 	want := PhaseRecordsOf(nil, r)
 
 	var buf bytes.Buffer
-	if err := WritePhaseJSONL(&buf, []*rpcproto.Request{r}); err != nil {
+	if err := WritePhaseJSONL(&buf, []*rpcproto.Record{r}); err != nil {
 		t.Fatalf("WritePhaseJSONL: %v", err)
 	}
 	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))

@@ -33,15 +33,16 @@ type Record struct {
 	Predicted bool    `json:"predicted"`
 }
 
-// FromRequest builds the exported record of a completed request. It
-// panics (via Request.Latency) if the request has not finished.
-func FromRequest(r *rpcproto.Request) Record {
+// FromRecord builds the exported record of a completed request from its
+// completion record. It panics (via Record.Latency) if the request has
+// not finished.
+func FromRecord(r *rpcproto.Record) Record {
 	return Record{
 		ID:        r.ID,
 		Conn:      r.Conn,
 		Tenant:    r.Tenant,
 		Op:        r.Op.String(),
-		Group:     r.GroupHint,
+		Group:     int(r.GroupHint),
 		ArrivalNS: r.Arrival.Nanoseconds(),
 		ServiceNS: r.Service.Nanoseconds(),
 		FinishNS:  r.Finish.Nanoseconds(),
@@ -55,9 +56,9 @@ func FromRequest(r *rpcproto.Request) Record {
 var csvHeader = []string{"id", "conn", "tenant", "op", "group",
 	"arrival_ns", "service_ns", "finish_ns", "latency_ns", "migrated", "predicted"}
 
-// WriteCSV streams the completed requests as CSV with a header row.
-// Nil or unfinished requests are skipped.
-func WriteCSV(w io.Writer, reqs []*rpcproto.Request) error {
+// WriteCSV streams a run's completion records as CSV with a header row.
+// Nil or unfinished records are skipped.
+func WriteCSV(w io.Writer, reqs []*rpcproto.Record) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(csvHeader); err != nil {
 		return err
@@ -67,7 +68,7 @@ func WriteCSV(w io.Writer, reqs []*rpcproto.Request) error {
 		if r == nil || r.Finish == 0 {
 			continue
 		}
-		rec := FromRequest(r)
+		rec := FromRecord(r)
 		row := []string{
 			strconv.FormatUint(rec.ID, 10),
 			strconv.FormatUint(uint64(rec.Conn), 10),
@@ -154,15 +155,16 @@ func parseRow(row []string) (Record, error) {
 	return rec, nil
 }
 
-// WriteJSONL streams records as JSON lines.
-func WriteJSONL(w io.Writer, reqs []*rpcproto.Request) error {
+// WriteJSONL streams a run's completion records as JSON lines. Nil or
+// unfinished records are skipped.
+func WriteJSONL(w io.Writer, reqs []*rpcproto.Record) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for _, r := range reqs {
 		if r == nil || r.Finish == 0 {
 			continue
 		}
-		if err := enc.Encode(FromRequest(r)); err != nil {
+		if err := enc.Encode(FromRecord(r)); err != nil {
 			return err
 		}
 	}
@@ -175,9 +177,9 @@ type CDFPoint struct {
 	Fraction  float64 `json:"fraction"`
 }
 
-// CDF condenses completed requests into an n-point latency CDF
+// CDF condenses a run's completion records into an n-point latency CDF
 // (n >= 2; endpoints are the min and max observations).
-func CDF(reqs []*rpcproto.Request, n int) []CDFPoint {
+func CDF(reqs []*rpcproto.Record, n int) []CDFPoint {
 	if n < 2 {
 		n = 2
 	}

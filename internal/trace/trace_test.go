@@ -11,17 +11,17 @@ import (
 	"repro/internal/sim"
 )
 
-func mkReqs(n int) []*rpcproto.Request {
-	out := make([]*rpcproto.Request, n)
+func mkReqs(n int) []*rpcproto.Record {
+	out := make([]*rpcproto.Record, n)
 	for i := range out {
-		out[i] = &rpcproto.Request{
+		out[i] = &rpcproto.Record{
 			ID: uint64(i), Conn: uint32(i % 7), Tenant: uint8(i % 3),
 			Op:       rpcproto.Op(i % 4),
 			Arrival:  sim.Time(i) * sim.Microsecond,
 			Service:  500 * sim.Nanosecond,
 			Finish:   sim.Time(i)*sim.Microsecond + sim.Time(i+1)*sim.Nanosecond*100,
 			Migrated: i%2 == 0, Predicted: i%5 == 0,
-			GroupHint: i % 4,
+			GroupHint: int32(i % 4),
 		}
 	}
 	return out
@@ -41,7 +41,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Fatalf("records = %d", len(recs))
 	}
 	for i, rec := range recs {
-		want := FromRequest(reqs[i])
+		want := FromRecord(reqs[i])
 		if rec != want {
 			t.Fatalf("record %d: %+v != %+v", i, rec, want)
 		}
@@ -127,7 +127,7 @@ func TestCDF(t *testing.T) {
 
 func TestCSVPropertyRoundTrip(t *testing.T) {
 	f := func(id uint64, conn uint32, tenant uint8, svcNS uint32, latNS uint32, mig, pred bool) bool {
-		r := &rpcproto.Request{
+		r := &rpcproto.Record{
 			ID: id, Conn: conn, Tenant: tenant,
 			Arrival:  sim.Microsecond,
 			Service:  sim.Time(svcNS) * sim.Nanosecond,
@@ -135,14 +135,14 @@ func TestCSVPropertyRoundTrip(t *testing.T) {
 			Migrated: mig, Predicted: pred,
 		}
 		var buf bytes.Buffer
-		if err := WriteCSV(&buf, []*rpcproto.Request{r}); err != nil {
+		if err := WriteCSV(&buf, []*rpcproto.Record{r}); err != nil {
 			return false
 		}
 		recs, err := ReadCSV(&buf)
 		if err != nil || len(recs) != 1 {
 			return false
 		}
-		return recs[0] == FromRequest(r)
+		return recs[0] == FromRecord(r)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
