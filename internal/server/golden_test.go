@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/fabric"
+	"repro/internal/mica"
 	"repro/internal/nic"
 	"repro/internal/rpcproto"
 	"repro/internal/sim"
@@ -138,4 +140,60 @@ func TestGoldenPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	goldenFile(t, "phases_kv4.csv", buf.Bytes(), *updateGolden)
+}
+
+// micaGetSet is fig14's machine in small: 2000 MICA GET/SETs (half
+// each, a hot key set skewing the EREW partitions) on AC 4x3 over the
+// hardware-terminated nanoRPC stack, whose NIC delay grows with the
+// wire size. Every call builds a fresh store.
+func micaGetSet(t *testing.T) (Config, Workload) {
+	t.Helper()
+	store, err := mica.NewStore(mica.Config{
+		Partitions: 4, BucketsPerPart: 1 << 10,
+		EntriesPerBucket: 8, LogBytesPerPart: 1 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := NewMICAApp(store, mica.DefaultOpCost(fabric.Default()), 1000, 16, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app.HotFrac = 0.3
+	cfg := Config{
+		Kind: SchedAltocumulus, AC: core.DefaultParams(4, 3),
+		Stack: rpcproto.StackNanoRPC, Steer: nic.SteerDirect, Seed: 5,
+	}
+	rate := 0.7 * 12 / app.MeanService().Seconds()
+	return cfg, Workload{Arrivals: dist.Poisson{Rate: rate}, App: app, N: 2000}
+}
+
+// TestGoldenMICAGetSet pins a run whose requests differ in wire size:
+// a GET carries its key, a SET its key and value, and the NIC prices
+// each by its own size. A run that priced every request alike would
+// move every stamp, so the test first proves the two sizes are priced
+// apart. Regenerate with -update like TestGoldenTraces.
+func TestGoldenMICAGetSet(t *testing.T) {
+	cfg, wl := micaGetSet(t)
+	app := wl.App.(*MICAApp)
+	_, rx, err := build(cfg, sim.NewEngine(), sim.NewRNG(0), sim.NewRNG(0), func(*rpcproto.Request) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	get, set := 16+app.KeyLen, 16+app.KeyLen+app.ValLen
+	if rx.Delay(get) == rx.Delay(set) && rx.CoreStackCost(get) == rx.CoreStackCost(set) {
+		t.Fatalf("GET (%d B) and SET (%d B) are priced alike; the golden would not witness per-size pricing", get, set)
+	}
+	res, err := Run(cfg, wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := map[rpcproto.Op]int{}
+	for _, r := range res.Requests {
+		ops[r.Op]++
+	}
+	if ops[rpcproto.OpGet] == 0 || ops[rpcproto.OpSet] == 0 {
+		t.Fatalf("golden run must mix GETs and SETs: %v", ops)
+	}
+	goldenFile(t, "mica_getset.csv", traceCSV(t, res), *updateGolden)
 }

@@ -14,12 +14,16 @@ import (
 // TestRackOfOneGolden is the rack tier's differential anchor: a rack
 // of one server, under every scheduler kind, must reproduce the
 // single-server golden traces byte for byte. The dispatcher makes a
-// degenerate decision per arrival but consumes no randomness and books
-// no extra events, so any divergence means the rack layer perturbed
-// the path it wraps. Every way of drawing a request goes through it —
-// the bare distribution, its one-phase neutral profile (both locked to
-// the checked-in goldens) and a two-phase chain, which has no golden
-// and is held to the single-server run instead.
+// degenerate decision per arrival but consumes no randomness, so any
+// divergence means the rack layer perturbed the path it wraps. Every
+// way of drawing a request goes through it — the bare distribution, its
+// one-phase neutral profile (both locked to the checked-in goldens) and
+// a two-phase chain, which has no golden and is held to the
+// single-server run instead. The rack books exactly one arrival event
+// per request more than a single server, which delivers each request
+// without one. An App workload, whose requests differ in wire size,
+// keeps the arrival event on a single server too, so there the two run
+// the same events.
 func TestRackOfOneGolden(t *testing.T) {
 	twoPhase := goldenWorkload()
 	half := dist.Exponential{M: sim.Microsecond / 2}
@@ -61,6 +65,10 @@ func TestRackOfOneGolden(t *testing.T) {
 					t.Fatalf("rack-of-1 trace deviates from the single-server run (%d vs %d bytes)",
 						got.Len(), want.Len())
 				}
+				if rr.Events != single.Events+uint64(w.wl.N) {
+					t.Fatalf("rack-of-1 ran %d events, single server %d; want exactly %d more",
+						rr.Events, single.Events, w.wl.N)
+				}
 				if w.golden {
 					compareGolden(t, kind, rr.Result)
 				}
@@ -72,6 +80,22 @@ func TestRackOfOneGolden(t *testing.T) {
 			})
 		}
 	}
+	t.Run("Altocumulus/mica-getset", func(t *testing.T) {
+		cfg, wl := micaGetSet(t)
+		rr, err := RunRack(RackConfig{Servers: 1, Policy: rack.PowerOfK}, cfg, wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, wl = micaGetSet(t)
+		single, err := Run(cfg, wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rr.Events != single.Events {
+			t.Fatalf("rack-of-1 ran %d events, single server %d; want equal on an App run", rr.Events, single.Events)
+		}
+		goldenFile(t, "mica_getset.csv", traceCSV(t, rr.Result), false)
+	})
 }
 
 // rackGoldenPolicies enumerates the per-policy rack golden traces.

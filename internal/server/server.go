@@ -172,6 +172,23 @@ type server struct {
 	sched sched.Scheduler
 	rx    nic.RXModel
 	chk   *check.Checker
+
+	// A one-entry memo of rx's prices: the NIC delay and core stack cost
+	// of a request of pricedSize bytes. Most runs send one size.
+	pricedSize       int
+	delay, stackCost sim.Time
+}
+
+// price returns the NIC receive delay and the core stack cost of a
+// request of the given wire size, repricing only when the size differs
+// from the previous request's.
+//
+//altolint:hotpath
+func (s *server) price(size int) (delay, stackCost sim.Time) {
+	if size != s.pricedSize {
+		s.pricedSize, s.delay, s.stackCost = size, s.rx.Delay(size), s.rx.CoreStackCost(size)
+	}
+	return s.delay, s.stackCost
 }
 
 // gen drives the lazily-generated arrival chain of a run over one or
@@ -194,6 +211,14 @@ type gen struct {
 	// tier is the rack dispatch layer over the servers; nil for a
 	// single-server run, whose arrivals all go to servers[0].
 	tier *rackTier
+	// fused runs have no arrival event: with one server and no App every
+	// request has the same wire size, so each is delivered one constant
+	// NIC delay after it arrives, in arrival order, and a request's
+	// delivery can book the next one directly. A rack keeps the arrival
+	// event because its dispatcher picks the server at arrival time; an
+	// App keeps it because its requests' sizes, and so their NIC delays,
+	// differ.
+	fused bool
 
 	ar           *arena.Arena
 	handles      []arena.RequestID
@@ -207,10 +232,11 @@ type gen struct {
 	deliverFn  func(arg any, n int64)
 }
 
-// schedule generates request i (drawing Conn, then Service, then the
-// arrival gap — the RNG order the golden traces lock down) and books
-// its arrival event. Request i+1 is generated inside i's arrival
-// callback, so at most one undelivered request exists at a time.
+// schedule generates request i arriving at at (drawing Conn, then
+// Service, then the arrival gap — the RNG order the golden traces lock
+// down) and books its next event: on a fused run its delivery, stamped
+// with the arrival; otherwise its arrival. Request i+1 is generated when
+// that event fires, so at most one undelivered request exists at a time.
 //
 //altolint:hotpath
 func (g *gen) schedule(i int, at sim.Time) {
@@ -245,19 +271,23 @@ func (g *gen) schedule(i int, at sim.Time) {
 	// duration is derived from PhaseSvc, so it takes the surcharge too
 	// (DESIGN.md §15). The servers of a rack are identical, so
 	// servers[0]'s receive model prices all of them.
-	stackCost := g.servers[0].rx.CoreStackCost(r.Size)
+	delay, stackCost := g.servers[0].price(r.Size)
 	r.Service += stackCost
 	if phased {
 		r.PhaseSvc[0] += stackCost
 	}
 	gap := g.wl.Arrivals.NextGap(g.arrRNG)
+	if g.fused {
+		r.Arrival = at
+		g.eng.AtArg(at+delay, g.deliverFn, r, int64(gap))
+		return
+	}
 	g.eng.AtArg(at, g.arriveFn, r, int64(gap))
 }
 
-// arrive is the bound arrival callback: stamp the arrival, let the rack
-// tier (if any) pick the server, book that server's NIC delivery, and
-// generate the next request. The event creation order (delivery before
-// next arrival) matches the original closure chain exactly.
+// arrive is the bound arrival callback of a run that is not fused:
+// stamp the arrival, let the rack tier (if any) pick the server, book
+// that server's NIC delivery, and generate the next request.
 //
 //altolint:hotpath
 func (g *gen) arrive(arg any, gapN int64) {
@@ -268,13 +298,24 @@ func (g *gen) arrive(arg any, gapN int64) {
 	if g.tier != nil {
 		srv = g.tier.dispatch(r, now)
 	}
-	g.eng.AfterArg(g.servers[srv].rx.Delay(r.Size), g.deliverFn, r, int64(srv))
+	delay, _ := g.servers[srv].price(r.Size)
+	g.eng.AfterArg(delay, g.deliverFn, r, int64(srv))
 	g.schedule(int(r.ID)+1, now+sim.Time(gapN))
 }
 
+// deliver is the bound delivery callback: it hands the request to its
+// server's scheduler. On a fused run n is the gap to the next arrival,
+// and the next request is generated first, as the arrival callback
+// would have done; otherwise n is the server arrive picked.
+//
 //altolint:hotpath
-func (g *gen) deliver(arg any, srv int64) {
-	g.servers[srv].sched.Deliver(arg.(*rpcproto.Request))
+func (g *gen) deliver(arg any, n int64) {
+	r := arg.(*rpcproto.Request)
+	if g.fused {
+		g.schedule(int(r.ID)+1, r.Arrival+sim.Time(n))
+		n = 0
+	}
+	g.servers[n].sched.Deliver(r)
 }
 
 // complete is every server's done callback: the last completion stops
@@ -419,7 +460,7 @@ func run(sc *Scratch, rc *RackConfig, cfg Config, wl Workload) (*RackResult, err
 			sch.(interface{ SetObserver(sched.Observer) }).SetObserver(chk)
 			chk.Attach(eng, checkSpecs(cfg), sch.QueueLensInto)
 		}
-		g.servers[s] = server{sched: sch, rx: rx, chk: chk}
+		g.servers[s] = server{sched: sch, rx: rx, chk: chk, pricedSize: -1}
 	}
 	first := g.servers[0].sched
 	res.Name = first.Name()
@@ -438,6 +479,7 @@ func run(sc *Scratch, rc *RackConfig, cfg Config, wl Workload) (*RackResult, err
 
 	// Lazily-generated arrival chain: one event in flight at a time,
 	// driven by the pre-bound gen callbacks.
+	g.fused = g.tier == nil && wl.App == nil
 	g.arriveFn = g.arrive
 	g.deliverFn = g.deliver
 	g.schedule(0, 0)

@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // event is a scheduled callback. Events fire in (time, sequence) order;
 // the sequence number breaks ties FIFO so that same-instant events run in
 // the order they were scheduled, keeping runs deterministic.
@@ -55,10 +57,11 @@ func NewEngine() *Engine {
 // Tests use tiny wheels to force bucket-boundary, wrap and overflow
 // paths with small timestamps.
 func newEngineWheel(gBits, slotBits uint) *Engine {
+	const slabCap = 1024
 	return &Engine{
-		events: make([]event, 0, 1024),
-		free:   make([]int32, 0, 1024),
-		wheel:  newWheel(gBits, slotBits),
+		events: make([]event, 0, slabCap),
+		free:   make([]int32, 0, slabCap),
+		wheel:  newWheel(gBits, slotBits, slabCap),
 		firing: -1,
 	}
 }
@@ -69,8 +72,8 @@ func (e *Engine) Now() Time { return e.now }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.nEvent }
 
-// takeSlot pops a slot from the free list (or grows the slab) without
-// filling it.
+// takeSlot pops a slot from the free list (or grows the slab, and the
+// wheel's parallel link array with it) without filling it.
 func (e *Engine) takeSlot() int32 {
 	if n := len(e.free); n > 0 {
 		i := e.free[n-1]
@@ -78,6 +81,7 @@ func (e *Engine) takeSlot() int32 {
 		return i
 	}
 	e.events = append(e.events, event{})
+	e.wheel.link = append(e.wheel.link, -1)
 	return int32(len(e.events) - 1)
 }
 
@@ -178,28 +182,28 @@ func (e *Engine) fire(i int32) {
 // events executed by this call. A drained queue leaves the clock at
 // until; Stop leaves it at the stopping event.
 func (e *Engine) Run(until Time) uint64 {
-	e.stop = false
-	start := e.nEvent
-	for !e.stop {
-		at, ok := e.wpeekAt()
-		if !ok || at > until {
-			break
-		}
-		e.fire(e.wpop())
-	}
+	n := e.runDue(until)
 	if !e.stop && e.now < until && e.wlen() == 0 {
 		e.now = until
 	}
-	return e.nEvent - start
+	return n
 }
 
 // RunAll executes events until the queue drains. Unlike Run, it leaves the
 // clock at the time of the last executed event.
-func (e *Engine) RunAll() uint64 {
+func (e *Engine) RunAll() uint64 { return e.runDue(math.MaxInt64) }
+
+// runDue fires every entry due by until, in (at, seq) order, until the
+// queue runs dry or a callback calls Stop.
+func (e *Engine) runDue(until Time) uint64 {
 	e.stop = false
 	start := e.nEvent
-	for !e.stop && e.wlen() > 0 {
-		e.fire(e.wpop())
+	for !e.stop {
+		i, ok := e.wnext(until)
+		if !ok {
+			break
+		}
+		e.fire(i)
 	}
 	return e.nEvent - start
 }

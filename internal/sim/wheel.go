@@ -1,6 +1,10 @@
 package sim
 
-import "math/bits"
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+)
 
 // timerWheel is the engine's event queue: a single-level
 // calendar queue (timer wheel) for the dense near-horizon band, with a
@@ -24,29 +28,37 @@ import "math/bits"
 //     the ring satisfies base ≤ at < base+window, so a ring index is
 //     unambiguous. Events at or past base+window go to the far heap and
 //     migrate in as the cursor advances.
+//   - Each slot is an intrusive singly-linked list threaded through the
+//     event slab (the calendar-queue layout; the Linux timer wheel's
+//     hlist): slots[s] is the slab index of the slot's most recent
+//     push and link[i] the entry pushed before i, so filing an entry
+//     is two stores and the ring is one int32 per slot. Order within a
+//     slot carries no meaning until the slot is drained.
 //   - occ is an occupancy bitmap over slots; advancing the cursor scans
 //     it word-wise, so sparse stretches cost O(slots/64) instead of one
 //     step per empty bucket. smin tracks each occupied slot's minimum
-//     timestamp, which makes peek exact without sorting a slot before
-//     its bucket is due.
-//   - curq is the cursor bucket's drain buffer: the slot's entries are
-//     moved there and sorted by (at, seq) when the cursor lands on the
-//     bucket, restoring the global (at, seq) FIFO tie-break order.
-//     In-bucket pushes (d < G) insert in order directly.
+//     timestamp, which tells whether a slot is due without draining it.
+//     A slot's head and smin are valid only while its occ bit is set.
+//   - curq is the cursor bucket's drain buffer: the slot's list is
+//     walked into it, reversed back to push order and sorted by
+//     (at, seq) when the cursor lands on the bucket, restoring the
+//     global (at, seq) FIFO tie-break order. In-bucket pushes (d < G)
+//     insert in order directly.
 //
 // Invariant: base ≤ now ≤ at on every push. at ≥ now because scheduling
-// clamps to now; base ≤ now because base moves only in wpop, to the
-// bucket of the event about to fire, and an empty wheel rebases to now's
-// bucket. Peek never mutates the cursor, so a Run(until) that stops
-// short of the next event cannot strand base past now.
+// clamps to now; base ≤ now because base moves only in wnext, and only
+// to the bucket of an entry that is due and so fires next; an empty
+// wheel rebases to now's bucket. A Run(until) that stops short of the
+// next event therefore cannot strand base past now.
 type timerWheel struct {
-	gBits    uint // log2 of bucket width in picoseconds
-	slotMask int  // len(slots)-1; len(slots) is a power of two
-	gsize    Time // bucket width: 1<<gBits
-	window   Time // ring horizon: gsize<<slotBits
-	base     Time // G-aligned start of the cursor bucket; ≤ every ring entry
-	cur      int  // ring index of base's bucket
-	slots    [][]int32
+	gBits    uint     // log2 of bucket width in picoseconds
+	slotMask int      // len(slots)-1; len(slots) is a power of two
+	gsize    Time     // bucket width: 1<<gBits
+	window   Time     // ring horizon: gsize<<slotBits
+	base     Time     // G-aligned start of the cursor bucket; ≤ every ring entry
+	cur      int      // ring index of base's bucket
+	slots    []int32  // per-slot list head (slab index), valid while the occ bit is set
+	link     []int32  // per-slab-entry next pointer of its slot's list; parallel to Engine.events
 	smin     []Time   // per-slot min at, valid while the occ bit is set
 	occ      []uint64 // occupancy bitmap over slots
 	curq     []int32  // cursor bucket drained in (at, seq) order
@@ -63,29 +75,20 @@ const (
 	wheelSlotBits = 10
 )
 
-// slotCap is each ring slot's share of the wheel's one backing array. A
-// run builds a fresh engine, and slots that each grew from nil on first
-// touch were most of a short run's allocations; four entries hold a
-// bucket's usual population, and a slot that overflows its window grows
-// a backing array of its own (the cap keeps it out of its neighbour's).
-const slotCap = 4
-
-func newWheel(gBits, slotBits uint) *timerWheel {
+// newWheel builds an empty wheel whose link array starts with room for
+// slabCap events.
+func newWheel(gBits, slotBits uint, slabCap int) *timerWheel {
 	n := 1 << slotBits
-	w := &timerWheel{
+	return &timerWheel{
 		gBits:    gBits,
 		slotMask: n - 1,
 		gsize:    Time(1) << gBits,
 		window:   Time(1) << (gBits + slotBits),
-		slots:    make([][]int32, n),
+		slots:    make([]int32, n),
+		link:     make([]int32, 0, slabCap),
 		smin:     make([]Time, n),
 		occ:      make([]uint64, (n+63)/64),
 	}
-	backing := make([]int32, n*slotCap)
-	for s := range w.slots {
-		w.slots[s] = backing[s*slotCap : s*slotCap : (s+1)*slotCap]
-	}
-	return w
 }
 
 func (w *timerWheel) slotOf(at Time) int { return int(at>>w.gBits) & w.slotMask }
@@ -136,13 +139,17 @@ func (e *Engine) wplace(i int32, at, d Time) {
 		return
 	}
 	s := w.slotOf(at)
-	w.slots[s] = append(w.slots[s], i) //altolint:allow hotalloc a slot past its slotCap share of the ring backing grows an array of its own, retained
-	if w.occ[s>>6]&(1<<uint(s&63)) == 0 {
-		w.occ[s>>6] |= 1 << uint(s&63)
+	if bit := uint64(1) << uint(s&63); w.occ[s>>6]&bit == 0 {
+		w.occ[s>>6] |= bit
 		w.smin[s] = at
-	} else if at < w.smin[s] {
-		w.smin[s] = at
+		w.link[i] = -1
+	} else {
+		if at < w.smin[s] {
+			w.smin[s] = at
+		}
+		w.link[i] = w.slots[s]
 	}
+	w.slots[s] = i
 	w.count++
 }
 
@@ -178,27 +185,36 @@ func (e *Engine) winsertCur(i int32) {
 	w.curq = q
 }
 
-// wpop removes and returns the earliest entry. The caller guarantees
-// the scheduler is non-empty.
+// wnext removes and returns the earliest entry if it is due (at ≤
+// until); otherwise, or on an empty queue, it reports false and leaves
+// the queue as it was. One bitmap scan serves both the due check and the
+// pop, and the cursor moves only to the bucket of an entry that is
+// returned next.
 //
 //altolint:hotpath
-func (e *Engine) wpop() int32 {
+func (e *Engine) wnext(until Time) (int32, bool) {
 	w := e.wheel
 	for {
 		if w.curHead < len(w.curq) {
 			i := w.curq[w.curHead]
+			if e.events[i].at > until {
+				return -1, false
+			}
 			w.curHead++
 			w.count--
 			if w.curHead == len(w.curq) {
 				w.curq = w.curq[:0]
 				w.curHead = 0
 			}
-			return i
+			return i, true
 		}
 		if w.count == 0 {
 			// Only far events remain: jump the cursor to the far top's
 			// bucket in one step instead of rotating through empty
 			// buckets, then migrate the newly in-window band.
+			if len(w.far) == 0 || e.events[w.far[0]].at > until {
+				return -1, false
+			}
 			at := e.events[w.far[0]].at
 			w.base = at &^ (w.gsize - 1)
 			w.cur = w.slotOf(at)
@@ -206,11 +222,20 @@ func (e *Engine) wpop() int32 {
 			continue
 		}
 		s, steps := w.nextOccupied()
+		if w.smin[s] > until {
+			return -1, false
+		}
 		w.cur = s
 		w.base += Time(steps) << w.gBits
 		e.wmigrate()
-		w.curq = append(w.curq[:0], w.slots[s]...) //altolint:allow hotalloc amortized drain-buffer growth into a retained backing array
-		w.slots[s] = w.slots[s][:0]
+		// The list runs newest first; reversed, it is in push order,
+		// which is usually (at, seq) order already.
+		q := w.curq[:0]
+		for i := w.slots[s]; i >= 0; i = w.link[i] {
+			q = append(q, i) //altolint:allow hotalloc amortized drain-buffer growth into a retained backing array
+		}
+		slices.Reverse(q)
+		w.curq = q
 		w.occ[s>>6] &^= 1 << uint(s&63)
 		w.curHead = 0
 		e.wsortCur()
@@ -260,85 +285,40 @@ func (e *Engine) wmigrate() {
 
 // wsortCur sorts the freshly loaded drain buffer by (at, seq). Buckets
 // usually fill in FIFO order (seq rises with push time), so an O(n)
-// sorted check runs first; small buckets insertion-sort, large ones
-// heapsort. Keys are unique, so the unstable heapsort is still
+// sorted check runs first; small buckets insertion-sort, large ones go
+// to the library sort. Keys are unique, so the unstable sort is still
 // deterministic.
 //
 //altolint:hotpath
 func (e *Engine) wsortCur() {
 	q := e.wheel.curq
-	n := len(q)
-	if n < 2 {
+	k := 1
+	for k < len(q) && !e.entryLess(q[k], q[k-1]) {
+		k++
+	}
+	if k >= len(q) {
 		return
 	}
-	sorted := true
-	for k := 1; k < n; k++ {
-		if e.entryLess(q[k], q[k-1]) {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return
-	}
-	if n <= 48 {
-		for k := 1; k < n; k++ {
-			v := q[k]
-			j := k - 1
-			for j >= 0 && e.entryLess(v, q[j]) {
-				q[j+1] = q[j]
-				j--
+	if len(q) > 48 {
+		slices.SortFunc(q, func(a, b int32) int { //altolint:allow hotalloc SortFunc only calls the literal, so it does not escape and is stack-allocated
+			ea, eb := &e.events[a], &e.events[b]
+			if c := cmp.Compare(ea.at, eb.at); c != 0 {
+				return c
 			}
-			q[j+1] = v
-		}
+			return cmp.Compare(ea.seq, eb.seq)
+		})
 		return
 	}
-	// In-place heapsort: build a max-heap, then swap the max to the
-	// shrinking tail.
-	for k := n/2 - 1; k >= 0; k-- {
-		e.maxSiftDown(q, k, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		q[0], q[end] = q[end], q[0]
-		e.maxSiftDown(q, 0, end)
-	}
-}
-
-func (e *Engine) maxSiftDown(q []int32, i, n int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < n && e.entryLess(q[largest], q[l]) {
-			largest = l
+	// q[:k] is sorted; insert the rest.
+	for ; k < len(q); k++ {
+		v := q[k]
+		j := k - 1
+		for j >= 0 && e.entryLess(v, q[j]) {
+			q[j+1] = q[j]
+			j--
 		}
-		if r < n && e.entryLess(q[largest], q[r]) {
-			largest = r
-		}
-		if largest == i {
-			return
-		}
-		q[i], q[largest] = q[largest], q[i]
-		i = largest
+		q[j+1] = v
 	}
-}
-
-// wpeekAt returns the earliest queued timestamp without moving the
-// cursor.
-//
-//altolint:hotpath
-func (e *Engine) wpeekAt() (Time, bool) {
-	w := e.wheel
-	if w.curHead < len(w.curq) {
-		return e.events[w.curq[w.curHead]].at, true
-	}
-	if w.count > 0 {
-		s, _ := w.nextOccupied()
-		return w.smin[s], true
-	}
-	if len(w.far) > 0 {
-		return e.events[w.far[0]].at, true
-	}
-	return 0, false
 }
 
 // wlen counts queued entries.

@@ -234,16 +234,40 @@ func TestEngineRearmSemantics(t *testing.T) {
 // scheduler, not closure construction.
 func nopEvent() {}
 
+// TestEngineCrowdedBucketOrder fills one ring bucket with more entries
+// than the drain's insertion sort takes, pushed latest first and with
+// ties, so the drain has to fall back to the full sort; they must
+// still fire in (at, seq) order.
+func TestEngineCrowdedBucketOrder(t *testing.T) {
+	e := NewEngine()
+	base := Time(7) << wheelGBits // a ring slot ahead of the cursor
+	var got []int
+	const n = 100
+	for k := 0; k < n; k++ {
+		e.AtArg(base+Time(n-1-k)/2*30, func(any, int64) { got = append(got, k) }, nil, 0)
+	}
+	if ran := e.RunAll(); ran != n {
+		t.Fatalf("ran %d events, want %d", ran, n)
+	}
+	for i := 1; i < n; i++ {
+		a, b := got[i-1], got[i]
+		ta, tb := Time(n-1-a)/2, Time(n-1-b)/2
+		if ta > tb || (ta == tb && a > b) {
+			t.Fatalf("fired %d before %d: not in (at, seq) order", a, b)
+		}
+	}
+}
+
 // TestEngineWheelZeroAlloc is the hard gate on the wheel's push/pop
 // steady state: after warmup has grown every retained backing array
-// (ring slots, drain buffer, far heap, slab, free list), a
+// (slab and its slot links, drain buffer, far heap, free list), a
 // schedule/run cycle spanning the bucket, ring and far bands must not
 // allocate.
 func TestEngineWheelZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	warm := func() {
-		// One event per ring bucket plus a far band, then drain: every
-		// slot's backing array, curq and far get first-touched here.
+		// One event per ring bucket plus a far band, then drain: the
+		// slab and its links grow, and curq and far get first-touched.
 		for s := 0; s < (1<<wheelSlotBits)+1; s++ {
 			e.After(Time(s)<<wheelGBits, nopEvent)
 		}
@@ -292,8 +316,9 @@ func TestEngineRearmZeroAlloc(t *testing.T) {
 // for the wheel: every run builds its own engine, so ring slots that
 // each grew from nil on first touch cost a thousand allocations per run.
 // Three event chains walk a fresh engine through every ring slot ten
-// times over, three entries to a bucket; beyond NewEngine's own objects
-// that may allocate the drain buffer and little else.
+// times over, three entries to a bucket. The slot lists live in the
+// slab, so beyond NewEngine's own objects the run allocates exactly
+// the drain buffer's two growths to its three-entry bucket.
 func TestFreshEngineSlotAllocations(t *testing.T) {
 	var e *Engine
 	var left int
@@ -314,7 +339,7 @@ func TestFreshEngineSlotAllocations(t *testing.T) {
 			t.Fatalf("ran %d events, want 10002", n)
 		}
 	})
-	if got := total - build; got > 8 {
-		t.Fatalf("10k near-window events on a fresh engine allocate %.0f times (NewEngine itself %.0f), want <= 8", got, build)
+	if got := total - build; got != 2 {
+		t.Fatalf("10k near-window events on a fresh engine allocate %.0f times (NewEngine itself %.0f), want 2", got, build)
 	}
 }

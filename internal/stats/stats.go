@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -57,17 +58,16 @@ func (s *Sample) Percentile(p float64) sim.Time {
 		return 0
 	}
 	s.sortIfNeeded()
+	return s.xs[rankIndex(p, len(s.xs))]
+}
+
+// rankIndex is the 0-based index of the nearest-rank p-th percentile
+// in a sorted sample of n > 0 observations.
+func rankIndex(p float64, n int) int {
 	if p <= 0 {
-		return s.xs[0]
+		return 0
 	}
-	rank := int(math.Ceil(p / 100 * float64(len(s.xs))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(s.xs) {
-		rank = len(s.xs)
-	}
-	return s.xs[rank-1]
+	return min(max(int(math.Ceil(p/100*float64(n))), 1), n) - 1
 }
 
 // P50, P99, P999 are the percentiles the paper reports.
@@ -84,16 +84,18 @@ func (s *Sample) Max() sim.Time {
 	return s.xs[len(s.xs)-1]
 }
 
-// Mean returns the arithmetic mean.
+// Mean returns the arithmetic mean. The sum is taken in integer
+// picoseconds, so it does not depend on the order of the observations
+// (and below 2⁵³ equals a float64 running sum).
 func (s *Sample) Mean() sim.Time {
 	if len(s.xs) == 0 {
 		return 0
 	}
-	var sum float64
+	var sum int64
 	for _, v := range s.xs {
-		sum += float64(v)
+		sum += int64(v)
 	}
-	return sim.Time(sum / float64(len(s.xs)))
+	return sim.Time(float64(sum) / float64(len(s.xs)))
 }
 
 // StdDev returns the population standard deviation in picoseconds.
@@ -112,9 +114,18 @@ func (s *Sample) StdDev() float64 {
 }
 
 // CountAbove returns how many observations exceed the threshold. This is
-// the "# SLO violations" counter.
+// the "# SLO violations" counter. An unsorted sample is counted in one
+// pass and stays unsorted.
 func (s *Sample) CountAbove(thr sim.Time) int {
-	s.sortIfNeeded()
+	if !s.sorted {
+		n := 0
+		for _, v := range s.xs {
+			if v > thr {
+				n++
+			}
+		}
+		return n
+	}
 	// First index with xs[i] > thr.
 	i := sort.Search(len(s.xs), func(i int) bool { return s.xs[i] > thr })
 	return len(s.xs) - i
@@ -140,18 +151,81 @@ type Summary struct {
 	VioRatio   float64 // Violations / N
 }
 
-// Summarize digests the sample against an SLO threshold.
+// Summarize digests the sample against an SLO threshold. An unsorted
+// sample is not sorted: one pass takes the violation count, the max and
+// the sum, and three nested selections take p50, p99 and p99.9, each
+// within the part of the sample the previous one left at or above its
+// rank. The sample is left reordered but unsorted, so a later
+// Percentile sorts it as before. The digest is the sorted path's, field
+// for field.
 func (s *Sample) Summarize(slo sim.Time) Summary {
-	v := s.CountAbove(slo)
-	ratio := 0.0
-	if s.Len() > 0 {
-		ratio = float64(v) / float64(s.Len())
+	n := len(s.xs)
+	if n == 0 {
+		return Summary{}
 	}
-	return Summary{
-		N: s.Len(), Mean: s.Mean(),
-		P50: s.P50(), P99: s.P99(), P999: s.P999(), Max: s.Max(),
-		Violations: v, VioRatio: ratio,
+	if s.sorted {
+		v := s.CountAbove(slo)
+		return Summary{
+			N: n, Mean: s.Mean(),
+			P50: s.P50(), P99: s.P99(), P999: s.P999(), Max: s.xs[n-1],
+			Violations: v, VioRatio: float64(v) / float64(n),
+		}
 	}
+	sm := Summary{N: n, Max: s.xs[0]}
+	var sum int64
+	for _, v := range s.xs {
+		sum += int64(v)
+		sm.Max = max(sm.Max, v)
+		if v > slo {
+			sm.Violations++
+		}
+	}
+	sm.Mean = sim.Time(float64(sum) / float64(n))
+	sm.VioRatio = float64(sm.Violations) / float64(n)
+	k50, k99, k999 := rankIndex(50, n), rankIndex(99, n), rankIndex(99.9, n)
+	sm.P50 = selectNth(s.xs, k50)
+	sm.P99 = selectNth(s.xs[k50:], k99-k50)
+	sm.P999 = selectNth(s.xs[k99:], k999-k99)
+	return sm
+}
+
+// selectNth reorders xs so that xs[k] holds the value sorting would put
+// there, with nothing larger before it and nothing smaller after it, and
+// returns that value. It is quickselect with a median-of-three pivot and
+// a three-way partition, so runs of equal values cost one pass; a
+// window that has not narrowed to a few elements after 2·log₂n rounds is
+// sorted instead, which bounds the worst case at O(n log n). The pivot
+// rule is fixed, so the reordering is deterministic.
+func selectNth(xs []sim.Time, k int) sim.Time {
+	lo, hi := 0, len(xs)
+	for rounds := 2 * bits.Len(uint(len(xs))); hi-lo > 12 && rounds > 0; rounds-- {
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi-1]
+		p := max(min(a, b), min(max(a, b), c))
+		lt, i, gt := lo, lo, hi // [lo,lt) < p, [lt,i) == p, [gt,hi) > p
+		for i < gt {
+			switch v := xs[i]; {
+			case v < p:
+				xs[lt], xs[i] = v, xs[lt]
+				lt++
+				i++
+			case v > p:
+				gt--
+				xs[i], xs[gt] = xs[gt], v
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return p
+		}
+	}
+	slices.Sort(xs[lo:hi])
+	return xs[k]
 }
 
 func (sm Summary) String() string {

@@ -106,6 +106,55 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestSummarizeUnsortedMatchesSorted is the property behind the
+// sort-free summary: on random samples — with ties, a single value, all
+// values equal, sizes around the percentile rank boundaries, and an SLO
+// equal to a sample value — Summarize and CountAbove on the unsorted
+// sample equal the sorted path field for field, and a percentile asked
+// afterwards still sorts to the right answer.
+func TestSummarizeUnsortedMatchesSorted(t *testing.T) {
+	rng := sim.NewRNG(11)
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(3000)
+		if trial%4 == 0 {
+			n = 1 + rng.Intn(12)
+		}
+		// Few distinct values force ties; a span of one makes them all equal.
+		span := []int{1, 3, 50, 1 << 30}[trial%4]
+		raw := make([]sim.Time, n)
+		for i := range raw {
+			raw[i] = sim.Time(rng.Intn(span))
+		}
+		slo := raw[rng.Intn(n)]
+		if trial%5 == 0 {
+			slo += sim.Time(rng.Intn(3)) - 1
+		}
+
+		unsorted, sorted := NewSample(n), NewSample(n)
+		for _, v := range raw {
+			unsorted.Add(v)
+			sorted.Add(v)
+		}
+		_ = sorted.P50() // takes the sorted path below
+		if got, want := unsorted.CountAbove(slo), sorted.CountAbove(slo); got != want {
+			t.Fatalf("trial %d (n=%d): unsorted CountAbove = %d, sorted %d", trial, n, got, want)
+		}
+		got, want := unsorted.Summarize(slo), sorted.Summarize(slo)
+		if got != want {
+			t.Fatalf("trial %d (n=%d, slo=%d):\n unsorted %+v\n sorted   %+v", trial, n, slo, got, want)
+		}
+		if unsorted.P99() != want.P99 || unsorted.Percentile(37) != sorted.Percentile(37) {
+			t.Fatalf("trial %d: percentiles after Summarize disagree with the sorted sample", trial)
+		}
+	}
+}
+
+func TestSummarizeEmpty(t *testing.T) {
+	if sm := NewSample(0).Summarize(ns(1)); sm != (Summary{}) {
+		t.Fatalf("empty summary = %+v", sm)
+	}
+}
+
 func TestReset(t *testing.T) {
 	s := NewSample(4)
 	s.Add(ns(1))

@@ -44,7 +44,9 @@
 #  10. altobench smoke every registered experiment regenerates at quick
 #                      scale with the online invariant checker attached
 #                      (runs through the cross-run fleet at GOMAXPROCS
-#                      width, so this is fast on CI runners)
+#                      width, so this is fast on CI runners), and the
+#                      output must match the committed
+#                      internal/experiments/testdata/quick_seed1.txt
 #  11. alloc guard     a quick run of the zero-alloc benchmarks compared
 #                      against the committed BENCH_sim.json; any hot
 #                      path that regresses from 0 allocs/op, and any
@@ -168,8 +170,15 @@ echo "== multi-phase smoke (hetero groups + phase forwarding, quick scale, invar
 # invariants run live inside this; any violation fails the run.
 go run ./cmd/altobench -exp multiphase -scale quick -check >/dev/null
 
-echo "== altobench smoke (all experiments, quick scale, invariant checker on)"
-go run ./cmd/altobench -exp all -scale quick -check >/dev/null
+echo "== altobench smoke (all experiments, quick scale, invariant checker on, diffed against the committed output)"
+# The whole quick suite at seed 1 must reproduce
+# internal/experiments/testdata/quick_seed1.txt byte for byte, minus the
+# wall-clock "completed in" lines. A change that moves any table fails
+# here with the diff. If the move is intended, regenerate the file with
+#   go run ./cmd/altobench -exp all -scale quick -seed 1 -check | grep -v "completed in" > internal/experiments/testdata/quick_seed1.txt
+# and review its diff like any other code change.
+go run ./cmd/altobench -exp all -scale quick -seed 1 -check | grep -v "completed in" |
+    diff -u internal/experiments/testdata/quick_seed1.txt -
 
 echo "== zero-alloc regression guard (non-gating)"
 # The sim hotpaths and the MICA GET/SET kernels at high iteration
