@@ -124,13 +124,10 @@ func CloudWorkload(rate float64, svc dist.ServiceDist, n int) Workload {
 	return Workload{Arrivals: dist.NewCloudMMPP(rate), Service: svc, N: n, Warmup: n / 10}
 }
 
-// NewKVStore builds a MICA key-value store with the given EREW partition
-// count and preloads `keys` 16 B keys with 512 B values, returning the
-// application ready to attach to a Workload.
+// NewKVStore returns the simulator's MICA application for a store of the
+// given EREW partition count serving `keys` 16 B keys with 512 B values,
+// ready to attach to a Workload: requests take their key's partition as
+// their connection and their service time from MICA's op cost model.
 func NewKVStore(partitions, keys int) (*server.MICAApp, error) {
-	store, err := mica.NewStore(mica.DefaultConfig(partitions))
-	if err != nil {
-		return nil, err
-	}
-	return server.NewMICAApp(store, mica.DefaultOpCost(fabric.Default()), keys, 16, 512)
+	return server.NewMICA(partitions, mica.DefaultOpCost(fabric.Default()), keys, 16, 512)
 }

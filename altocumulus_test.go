@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/nic"
+	"repro/internal/rpcproto"
 )
 
 func TestFacadeQuickstartPath(t *testing.T) {
@@ -68,8 +69,14 @@ func TestFacadeKVStore(t *testing.T) {
 	if res.Summary.N != 3600 {
 		t.Fatalf("sample = %d", res.Summary.N)
 	}
-	if app.Store.Stats().Gets == 0 {
-		t.Fatal("store idle")
+	get := app.Cost.Time(rpcproto.OpGet, app.ValLen, false)
+	set := app.Cost.Time(rpcproto.OpSet, app.ValLen, false)
+	took := map[Time]bool{}
+	for _, r := range res.Requests {
+		took[r.Service] = true
+	}
+	if !took[get] || !took[set] {
+		t.Fatalf("no request took the GET (%v) or the SET (%v) service time", get, set)
 	}
 }
 

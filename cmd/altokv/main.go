@@ -1,7 +1,8 @@
-// Command altokv runs the MICA key-value store end to end on an
-// ALTOCUMULUS-scheduled server (§IX): preload a partitioned store, offer
-// a GET/SET(/SCAN) mix under Poisson or bursty cloud arrivals, and report
-// latency, SLO accounting and store statistics.
+// Command altokv simulates the MICA key-value store end to end on an
+// ALTOCUMULUS-scheduled server (§IX): offer a GET/SET(/SCAN) mix over an
+// EREW-partitioned key space under Poisson or bursty cloud arrivals, and
+// report latency, SLO accounting and runtime statistics. The real store
+// runs on the live plane (altoserve -service kv).
 //
 // Usage:
 //
@@ -26,7 +27,7 @@ import (
 func main() {
 	var (
 		cores  = flag.Int("cores", 64, "total cores (16 per group)")
-		keys   = flag.Int("keys", 100000, "preloaded key count (16B keys, 512B values)")
+		keys   = flag.Int("keys", 100000, "key count (16B keys, 512B values)")
 		load   = flag.Float64("load", 0.8, "offered load fraction of worker capacity")
 		scans  = flag.Float64("scans", 0.001, "SCAN fraction of requests (~50us each)")
 		n      = flag.Int("n", 300000, "requests to simulate")
@@ -41,16 +42,7 @@ func main() {
 		fail("%v", err)
 	}
 
-	store, err := mica.NewStore(mica.Config{
-		Partitions:       groups,
-		BucketsPerPart:   1 << 14,
-		EntriesPerBucket: 8,
-		LogBytesPerPart:  128 << 20 / int64(groups),
-	})
-	if err != nil {
-		fail("%v", err)
-	}
-	app, err := server.NewMICAApp(store, mica.DefaultOpCost(fabric.Default()), *keys, 16, 512)
+	app, err := server.NewMICA(groups, mica.DefaultOpCost(fabric.Default()), *keys, 16, 512)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -81,26 +73,15 @@ func main() {
 		fail("%v", err)
 	}
 
-	st := store.Stats()
 	fmt.Printf("MICA over Altocumulus: %d cores (%d groups x %d workers), %s interface\n",
 		*cores, groups, wpg, p.Iface)
 	fmt.Printf("workload    %s, mean service %v, %d requests\n", arrivals.Name(), mean, *n)
 	fmt.Printf("offered     %.2f MRPS (load %.2f)\n", rate/1e6, *load)
 	fmt.Printf("latency     %s\n", res.Summary)
 	fmt.Printf("SLO         %v; violations %.3f%%\n", res.SLO, res.Summary.VioRatio*100)
-	fmt.Printf("store       gets=%d (hit %.1f%%) sets=%d evictions=%d recycles=%d\n",
-		st.Gets, 100*float64(st.GetHits)/float64(max64(st.Gets, 1)), st.Sets,
-		st.IndexEvictions, st.LogRecycles)
 	fmt.Printf("runtime     migrations=%d migrated=%d predicted=%d nacked=%d\n",
 		res.ACStats.Migrations, res.ACStats.MigratedReqs, res.ACStats.PredictedReqs,
 		res.ACStats.NackedReqs)
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func fail(format string, args ...interface{}) {

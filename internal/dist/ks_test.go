@@ -77,36 +77,6 @@ func TestKSUniform(t *testing.T) {
 	})
 }
 
-func TestKSLognormal(t *testing.T) {
-	for _, sigma := range []float64{0.5, 1.0} {
-		d := Lognormal{M: sim.Microsecond, Sigma: sigma}
-		mu := d.mu()
-		ksCheck(t, d.Name(), d.Sample, func(x float64) float64 {
-			if x <= 0 {
-				return 0
-			}
-			z := (math.Log(x) - mu) / sigma
-			return 0.5 * (1 + math.Erf(z/math.Sqrt2))
-		})
-	}
-}
-
-func TestKSPareto(t *testing.T) {
-	d := Pareto{Lo: 500 * sim.Nanosecond, Hi: 50 * sim.Microsecond, Alpha: 1.5}
-	lo, hi, a := float64(d.Lo), float64(d.Hi), d.Alpha
-	norm := 1 - math.Pow(lo/hi, a)
-	ksCheck(t, d.Name(), d.Sample, func(x float64) float64 {
-		switch {
-		case x < lo:
-			return 0
-		case x >= hi:
-			return 1
-		default:
-			return (1 - math.Pow(lo/x, a)) / norm
-		}
-	})
-}
-
 func TestKSPoissonGaps(t *testing.T) {
 	p := Poisson{Rate: 1e6} // 1 req/us
 	ksCheck(t, "poisson-gaps", p.NextGap, func(x float64) float64 {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -124,4 +125,45 @@ func TestHeavyExperimentsQuick(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMICAExperimentsMatchQuickSuite renders the four MICA experiments at
+// quick scale, seed 1, and compares each byte for byte with its section
+// of the committed quick-suite output, which scripts/check.sh regenerates
+// in full.
+func TestMICAExperimentsMatchQuickSuite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("MICA experiment regeneration skipped in -short mode")
+	}
+	suite, err := os.ReadFile("testdata/quick_seed1.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"fig13a", "fig13b", "fig13c", "fig14"} {
+		id := id
+		t.Run(id, func(t *testing.T) {
+			want := quickSection(t, suite, id)
+			if got := render(t, id, 1); !bytes.Equal(got, want) {
+				t.Fatalf("%s differs from testdata/quick_seed1.txt:\n--- want ---\n%s\n--- got ---\n%s", id, want, got)
+			}
+		})
+	}
+}
+
+// quickSection returns experiment id's rendered tables from the quick
+// suite's output: the lines between its "# <id> (" header and the next
+// "# " line, less the blank line that ends every section.
+func quickSection(t *testing.T, suite []byte, id string) []byte {
+	t.Helper()
+	head := []byte("# " + id + " (")
+	start := bytes.Index(suite, head)
+	if start < 0 || (start > 0 && suite[start-1] != '\n') {
+		t.Fatalf("no %q section", head)
+	}
+	start += bytes.IndexByte(suite[start:], '\n') + 1
+	end := bytes.Index(suite[start:], []byte("\n# "))
+	if end < 0 {
+		t.Fatalf("%s section has no end", id)
+	}
+	return suite[start : start+end]
 }

@@ -37,25 +37,9 @@ func init() {
 }
 
 // newMICA builds a MICA app sized for the run: the EREW partition count
-// matches the scheduling entities (AC groups or baseline cores), with a
-// fixed total memory budget split across partitions.
+// matches the scheduling entities (AC groups or baseline cores).
 func newMICA(partitions int, fixed sim.Time) (*server.MICAApp, error) {
-	logPer := int64(64<<20) / int64(partitions)
-	if logPer < 1<<20 {
-		logPer = 1 << 20
-	}
-	buckets := 262144 / partitions
-	if buckets < 1024 {
-		buckets = 1024
-	}
-	store, err := mica.NewStore(mica.Config{
-		Partitions: partitions, BucketsPerPart: buckets,
-		EntriesPerBucket: 8, LogBytesPerPart: logPer,
-	})
-	if err != nil {
-		return nil, err
-	}
-	app, err := server.NewMICAApp(store, mica.DefaultOpCost(fabric.Default()), 100000, 16, 512)
+	app, err := server.NewMICA(partitions, mica.DefaultOpCost(fabric.Default()), 100000, 16, 512)
 	if err != nil {
 		return nil, err
 	}

@@ -115,7 +115,17 @@ func Hash(key []byte) uint64 {
 	return h
 }
 
-// PartitionOf returns the EREW owner partition of a key hash.
+// PartitionOf returns the EREW owner partition of a key hash among
+// parts partitions: the placement rule of the store, which the
+// simulator's model of it applies without one.
+func PartitionOf(hash uint64, parts int) int {
+	return int(hash % uint64(parts))
+}
+
+// PartitionOf returns the EREW owner partition of a key hash. It is
+// PartitionOf(hash, len(s.parts)) written out: a call would raise
+// SetHashed's inlining cost past the compiler's budget, and the live
+// handler's SET path would pay a call it does not pay today.
 func (s *Store) PartitionOf(hash uint64) int {
 	return int(hash % uint64(len(s.parts)))
 }

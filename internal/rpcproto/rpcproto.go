@@ -95,9 +95,8 @@ type Request struct {
 
 	// OnExecute, when non-nil, runs once when a core first begins this
 	// request (before the execution duration is read). Applications use
-	// it to perform their real work and finalise Service — e.g. MICA
-	// executes the GET/SET here and adds the EREW remote-access penalty
-	// if the request was migrated.
+	// it to finalise Service — e.g. MICA adds the EREW remote-access
+	// penalty if the request was migrated.
 	OnExecute func(r *Request)
 }
 

@@ -145,17 +145,10 @@ func TestGoldenPhases(t *testing.T) {
 // micaGetSet is fig14's machine in small: 2000 MICA GET/SETs (half
 // each, a hot key set skewing the EREW partitions) on AC 4x3 over the
 // hardware-terminated nanoRPC stack, whose NIC delay grows with the
-// wire size. Every call builds a fresh store.
+// wire size. Every call builds a fresh app.
 func micaGetSet(t *testing.T) (Config, Workload) {
 	t.Helper()
-	store, err := mica.NewStore(mica.Config{
-		Partitions: 4, BucketsPerPart: 1 << 10,
-		EntriesPerBucket: 8, LogBytesPerPart: 1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, err := NewMICAApp(store, mica.DefaultOpCost(fabric.Default()), 1000, 16, 512)
+	app, err := NewMICA(4, mica.DefaultOpCost(fabric.Default()), 1000, 16, 512)
 	if err != nil {
 		t.Fatal(err)
 	}

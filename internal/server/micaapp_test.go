@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -15,19 +17,20 @@ import (
 
 func newTestApp(t *testing.T, partitions int, scanFrac float64) *MICAApp {
 	t.Helper()
-	store, err := mica.NewStore(mica.Config{
-		Partitions: partitions, BucketsPerPart: 1 << 12,
-		EntriesPerBucket: 8, LogBytesPerPart: 8 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, err := NewMICAApp(store, mica.DefaultOpCost(fabric.Default()), 10000, 16, 512)
+	app, err := NewMICA(partitions, mica.DefaultOpCost(fabric.Default()), 10000, 16, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
 	app.ScanFrac = scanFrac
 	return app
+}
+
+// canonicalKey is the key a MICA client sends for key id: the id in the
+// first 8 bytes, little endian, padded with 'k' to keyLen bytes.
+func canonicalKey(id uint64, keyLen int) []byte {
+	key := bytes.Repeat([]byte{'k'}, keyLen)
+	binary.LittleEndian.PutUint64(key, id)
+	return key
 }
 
 func TestNewMICAAppValidation(t *testing.T) {
@@ -37,6 +40,9 @@ func TestNewMICAAppValidation(t *testing.T) {
 	}
 	if _, err := NewMICAApp(store, mica.DefaultOpCost(fabric.Default()), 10, 4, 64); err == nil {
 		t.Fatal("short keys should fail")
+	}
+	if _, err := NewMICA(0, mica.DefaultOpCost(fabric.Default()), 10, 16, 64); err == nil {
+		t.Fatal("partitions=0 should fail")
 	}
 }
 
@@ -48,17 +54,18 @@ func TestMICAAppPrepareShapes(t *testing.T) {
 		var r rpcproto.Request
 		app.Prepare(&r, rng)
 		ops[r.Op]++
-		if r.Service <= 0 {
-			t.Fatal("no service time")
+		if r.Service != app.Cost.Time(r.Op, app.ValLen, false) {
+			t.Fatalf("%v: service %v is not the op cost", r.Op, r.Service)
 		}
-		if len(r.Payload) != 16 {
-			t.Fatalf("key len %d", len(r.Payload))
+		if r.Conn >= 4 {
+			t.Fatalf("conn %d is not one of the 4 partitions", r.Conn)
 		}
-		if int(r.Conn) != app.Store.Partition(r.Payload) {
-			t.Fatal("conn is not the EREW partition")
+		size := 16 + app.KeyLen
+		if r.Op == rpcproto.OpSet {
+			size += app.ValLen // a SET carries its value
 		}
-		if r.Op == rpcproto.OpSet && r.Size <= 16+16 {
-			t.Fatal("SET size should include the value")
+		if r.Size != size {
+			t.Fatalf("%v: size %d, want %d", r.Op, r.Size, size)
 		}
 	}
 	scanRate := float64(ops[rpcproto.OpScan]) / 20000
@@ -71,55 +78,57 @@ func TestMICAAppPrepareShapes(t *testing.T) {
 	}
 }
 
-func TestMICAAppExecutesRealWork(t *testing.T) {
-	app := newTestApp(t, 2, 0)
-	rng := sim.NewRNG(2)
-	before := app.Store.Stats()
-	for i := 0; i < 1000; i++ {
-		var r rpcproto.Request
-		app.Prepare(&r, rng)
-		r.OnExecute(&r)
-	}
-	after := app.Store.Stats()
-	if after.Gets <= before.Gets {
-		t.Fatal("no real GETs executed")
-	}
-	if after.Sets <= before.Sets {
-		t.Fatal("no real SETs executed")
-	}
-	// Preloaded keys: GETs must overwhelmingly hit.
-	hitRate := float64(after.GetHits-before.GetHits) / float64(after.Gets-before.Gets)
-	if hitRate < 0.95 {
-		t.Fatalf("hit rate = %v", hitRate)
+// TestMICAAppPlacementMatchesStore is the differential for EREW
+// placement: for every key id, the partition Prepare assigns is the one
+// a real store with the same partition count holds the canonical key in.
+// Prepare draws the key id first, so a copy of the generator taken just
+// before the call names the key.
+func TestMICAAppPlacementMatchesStore(t *testing.T) {
+	const keys = 1000
+	for _, parts := range []int{1, 4, 16, 64} {
+		app, err := NewMICA(parts, mica.DefaultOpCost(fabric.Default()), keys, 16, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := mica.NewStore(mica.Config{
+			Partitions: parts, BucketsPerPart: 8, EntriesPerBucket: 2, LogBytesPerPart: 1 << 12,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := sim.NewRNG(uint64(parts))
+		seen := make([]bool, keys)
+		for left := keys; left > 0; {
+			peek := *rng
+			id := peek.Intn(keys)
+			var r rpcproto.Request
+			app.Prepare(&r, rng)
+			if want := store.Partition(canonicalKey(uint64(id), app.KeyLen)); int(r.Conn) != want {
+				t.Fatalf("parts=%d key %d: Prepare placed it in %d, the store in %d", parts, id, r.Conn, want)
+			}
+			if !seen[id] {
+				seen[id] = true
+				left--
+			}
+		}
 	}
 }
 
-func TestMICAAppExecuteIsAllocationFree(t *testing.T) {
-	// Every request's OnExecute is one pre-bound func working in app-
-	// owned scratch: the real GET, SET and SCAN touch the heap not at
-	// all, and a SET stores ValLen copies of the key id's low byte.
-	app := newTestApp(t, 2, 0.2)
+func TestMICAAppPrepareIsAllocationFree(t *testing.T) {
+	// Prepare hashes each canonical key in app-owned scratch and installs
+	// the pre-bound hook: no GET, SET or SCAN draw touches the heap.
+	app := newTestApp(t, 4, 0.2)
 	rng := sim.NewRNG(5)
-	reqs := map[rpcproto.Op]*rpcproto.Request{}
-	for len(reqs) < 3 {
-		r := new(rpcproto.Request)
-		app.Prepare(r, rng)
-		reqs[r.Op] = r
+	var r rpcproto.Request
+	ops := map[rpcproto.Op]bool{}
+	if got := testing.AllocsPerRun(1000, func() {
+		app.Prepare(&r, rng)
+		ops[r.Op] = true
+	}); got != 0 {
+		t.Errorf("Prepare allocates %v times, want 0", got)
 	}
-	for op, r := range reqs {
-		if got := testing.AllocsPerRun(100, func() { r.OnExecute(r) }); got != 0 {
-			t.Errorf("%v: OnExecute allocates %v times, want 0", op, got)
-		}
-	}
-	set := reqs[rpcproto.OpSet]
-	v, ok := app.Store.Get(set.Payload)
-	if !ok || len(v) != app.ValLen {
-		t.Fatalf("after SET: %d bytes, hit %v", len(v), ok)
-	}
-	for _, b := range v {
-		if b != set.Payload[0] {
-			t.Fatalf("SET stored %#x, want the key id's low byte %#x", b, set.Payload[0])
-		}
+	if len(ops) != 3 {
+		t.Fatalf("draws covered %v, want GET, SET and SCAN", ops)
 	}
 }
 
@@ -166,10 +175,6 @@ func TestMICAEndToEndRun(t *testing.T) {
 	if res.Lat.Len() != 4500 {
 		t.Fatalf("sample %d", res.Lat.Len())
 	}
-	st := app.Store.Stats()
-	if st.Gets == 0 || st.Sets == 0 {
-		t.Fatal("store saw no traffic")
-	}
 	// At 50% load with direct steering, p50 is service plus the fixed
 	// pipeline floor (NIC front end, hw stack, LLC transfer, dispatch:
 	// ~170 ns) and modest queueing.
@@ -190,8 +195,15 @@ func TestSteerDirect(t *testing.T) {
 	}
 }
 
-func TestMICAAppHotAndZipfSkew(t *testing.T) {
-	app := newTestApp(t, 4, 0)
+func TestMICAAppHotSkew(t *testing.T) {
+	// With far more partitions than keys, a request's partition names its
+	// key: the hot set is the partitions of the first micaHotKeys keys.
+	const parts = 1 << 16
+	app := newTestApp(t, parts, 0)
+	hotParts := map[uint32]bool{}
+	for id := uint64(0); id < micaHotKeys; id++ {
+		hotParts[uint32(mica.PartitionOf(mica.Hash(canonicalKey(id, app.KeyLen)), parts))] = true
+	}
 	rng := sim.NewRNG(9)
 
 	// Hot set: 40% of traffic on 64 keys.
@@ -200,37 +212,11 @@ func TestMICAAppHotAndZipfSkew(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		var r rpcproto.Request
 		app.Prepare(&r, rng)
-		if binaryKeyID(r.Payload) < 64 {
+		if hotParts[r.Conn] {
 			hot++
 		}
 	}
 	if frac := float64(hot) / 20000; frac < 0.35 || frac > 0.48 {
 		t.Fatalf("hot fraction = %v", frac)
 	}
-
-	// Zipf: rank 0 dominates.
-	app.HotFrac = 0
-	z, err := dist.NewZipf(app.Keys, 0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	app.Zipf = z
-	counts := map[uint64]int{}
-	for i := 0; i < 20000; i++ {
-		var r rpcproto.Request
-		app.Prepare(&r, rng)
-		counts[binaryKeyID(r.Payload)]++
-	}
-	if counts[0] < 500 {
-		t.Fatalf("zipf head count = %d", counts[0])
-	}
-}
-
-// binaryKeyID extracts the key id MICAApp encodes in the first 8 bytes.
-func binaryKeyID(key []byte) uint64 {
-	var id uint64
-	for i := 7; i >= 0; i-- {
-		id = id<<8 | uint64(key[i])
-	}
-	return id
 }

@@ -266,25 +266,6 @@ func TestRNGExpMean(t *testing.T) {
 	}
 }
 
-func TestRNGNormMoments(t *testing.T) {
-	r := NewRNG(13)
-	const n = 200000
-	var sum, sumsq float64
-	for i := 0; i < n; i++ {
-		v := r.Norm(10, 3)
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean-10) > 0.05 {
-		t.Fatalf("norm mean = %v", mean)
-	}
-	if math.Abs(math.Sqrt(variance)-3) > 0.05 {
-		t.Fatalf("norm stddev = %v", math.Sqrt(variance))
-	}
-}
-
 func TestRNGIntnAndBernoulli(t *testing.T) {
 	r := NewRNG(17)
 	counts := make([]int, 5)

@@ -72,23 +72,6 @@ func (r *RNG) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Norm returns a normally distributed value (Box-Muller).
-func (r *RNG) Norm(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
-}
-
-// Lognorm returns a lognormally distributed value parameterised by the
-// mean and stddev of the underlying normal.
-func (r *RNG) Lognorm(mu, sigma float64) float64 {
-	return math.Exp(r.Norm(mu, sigma))
-}
-
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool { return r.Float64() < p }
 

@@ -243,11 +243,20 @@ func TestLinearFitDegenerate(t *testing.T) {
 
 func TestLinearFitNoisy(t *testing.T) {
 	r := sim.NewRNG(3)
+	// norm is a standard normal draw (Box-Muller).
+	norm := func() float64 {
+		u1 := r.Float64()
+		for u1 == 0 {
+			u1 = r.Float64()
+		}
+		u2 := r.Float64()
+		return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+	}
 	var xs, ys []float64
 	for i := 0; i < 2000; i++ {
 		x := r.Float64() * 100
 		xs = append(xs, x)
-		ys = append(ys, 2.5*x+10+r.Norm(0, 1))
+		ys = append(ys, 2.5*x+10+norm())
 	}
 	slope, intercept, ok := LinearFit(xs, ys)
 	if !ok || math.Abs(slope-2.5) > 0.05 || math.Abs(intercept-10) > 1 {
