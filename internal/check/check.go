@@ -358,7 +358,7 @@ func (c *Checker) enqueue(r *rpcproto.Request, qid, qlen int, during string) {
 	c.queued++
 }
 
-// OnEnqueue implements sched.Observer: first delivery of r to queue q.
+// OnEnqueue implements sched.Probe: first delivery of r to queue q.
 func (c *Checker) OnEnqueue(r *rpcproto.Request, qid, qlen int) {
 	c.delivered++
 	c.expectState(r, qid, stateNew, "delivered")
@@ -410,7 +410,7 @@ func (c *Checker) OnRequeue(r *rpcproto.Request, qid int, cause sched.RequeueCau
 	c.enqueue(r, qid, qlen, "OnRequeue")
 }
 
-// OnPhaseDone implements sched.PhaseProbe: core finished a non-final
+// OnPhaseDone implements sched.Probe: core finished a non-final
 // phase of r and the scheduler took the request off it to forward the
 // next phase (r.Phase has already advanced). Back-to-back local
 // continuations emit no event, so observed boundaries need only be
@@ -692,4 +692,3 @@ func (c *Checker) Finalize() *Report {
 }
 
 var _ sched.Probe = (*Checker)(nil)
-var _ sched.PhaseProbe = (*Checker)(nil)

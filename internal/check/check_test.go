@@ -304,9 +304,9 @@ func TestJBSQBoundOffByOneCaught(t *testing.T) {
 		done := chk.WrapDone(nil)
 		s := sched.NewJBSQ(eng, cores, sched.VariantRPCValet, bound, 0, 0, 0, 0, done)
 		if seeded {
-			s.SetObserver(offByOneProbe{chk})
+			s.SetProbe(offByOneProbe{chk})
 		} else {
-			s.SetObserver(chk)
+			s.SetProbe(chk)
 		}
 		specs := []QueueSpec{{ID: 0, Core: -1, Lens: 0}}
 		for i := 0; i < cores; i++ {
@@ -315,22 +315,14 @@ func TestJBSQBoundOffByOneCaught(t *testing.T) {
 		chk.Attach(eng, specs, s.QueueLensInto)
 
 		svc := dist.Exponential{M: sim.Microsecond}
-		arr := dist.Poisson{Rate: dist.LoadForRate(0.9, cores, svc)}
 		rng := sim.NewRNG(11)
-		var schedule func(i int, at sim.Time)
-		schedule = func(i int, at sim.Time) {
-			if i >= n {
-				return
-			}
-			r := &rpcproto.Request{ID: uint64(i), Service: svc.Sample(rng)}
-			gap := arr.NextGap(rng)
-			eng.At(at, func() {
-				r.Arrival = eng.Now()
-				s.Deliver(r)
-				schedule(i+1, eng.Now()+gap)
-			})
-		}
-		schedule(0, 0)
+		sched.OpenLoop{
+			Arrivals: dist.Poisson{Rate: dist.LoadForRate(0.9, cores, svc)},
+			Service:  svc,
+			N:        n,
+			ArrRNG:   rng,
+			SvcRNG:   rng,
+		}.Start(eng, s)
 		eng.RunAll()
 		return chk.Finalize()
 	}

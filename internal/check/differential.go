@@ -114,8 +114,6 @@ func RunDiff(c DiffCase, seed uint64) (*DiffResult, error) {
 
 	mu := 1 / c.MeanSvc.Seconds()
 	lambda := c.Rho * float64(c.K) * mu
-	arrivals := dist.Poisson{Rate: lambda}
-	service := dist.Exponential{M: c.MeanSvc}
 
 	// Per-queue model: the whole system for c-FCFS, one random split for
 	// d-FCFS. Both sojourn statistics are queue-local and identical
@@ -128,8 +126,8 @@ func RunDiff(c DiffCase, seed uint64) (*DiffResult, error) {
 	chk := New(Options{Expected: c.N})
 	sojourn := make([]float64, 0, c.N-c.Warmup) // seconds, completion in ID order below
 	waited := make([]float64, 0, c.N-c.Warmup)  // 1.0 when the request queued
-	reqs := make([]*rpcproto.Request, c.N)
-	done := chk.WrapDone(nil)
+	reqs := make([]*rpcproto.Request, c.N)      // filled at completion
+	done := chk.WrapDone(func(r *rpcproto.Request) { reqs[r.ID] = r })
 
 	var s sched.Scheduler
 	var specs []QueueSpec
@@ -143,29 +141,21 @@ func RunDiff(c DiffCase, seed uint64) (*DiffResult, error) {
 			specs = append(specs, QueueSpec{ID: i, Core: i, Lens: i})
 		}
 	}
-	s.(interface{ SetObserver(sched.Observer) }).SetObserver(chk)
+	s.SetProbe(chk)
 	chk.Attach(eng, specs, s.QueueLensInto)
 
-	var schedule func(i int, at sim.Time)
-	schedule = func(i int, at sim.Time) {
-		if i >= c.N {
-			return
-		}
-		r := &rpcproto.Request{ID: uint64(i), Service: service.Sample(svcRNG)}
-		reqs[i] = r
-		gap := arrivals.NextGap(arrRNG)
-		eng.At(at, func() {
-			r.Arrival = eng.Now()
-			s.Deliver(r)
-			schedule(i+1, eng.Now()+gap)
-		})
-	}
-	schedule(0, 0)
+	sched.OpenLoop{
+		Arrivals: dist.Poisson{Rate: lambda},
+		Service:  dist.Exponential{M: c.MeanSvc},
+		N:        c.N,
+		ArrRNG:   arrRNG,
+		SvcRNG:   svcRNG,
+	}.Start(eng, s)
 	eng.RunAll()
 
 	rep := chk.Finalize()
 	for _, r := range reqs[c.Warmup:] {
-		if r == nil || r.Finish == 0 {
+		if r == nil {
 			return nil, fmt.Errorf("check: differential %s left request unfinished", c.Name)
 		}
 		sojourn = append(sojourn, (r.Finish - r.Arrival).Seconds())

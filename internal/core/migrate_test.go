@@ -35,7 +35,7 @@ func newMigrateRig(t *testing.T) *migrateRig {
 		t.Fatal(err)
 	}
 	s.Stop() // no ticks: no UPDATEs, no decisions but the script's
-	s.SetObserver(rg.chk)
+	s.SetProbe(rg.chk)
 	rg.chk.Attach(rg.eng, []check.QueueSpec{
 		{ID: 0, Core: -1, Lens: 0}, {ID: 1, Core: -1, Lens: 1},
 		{ID: 2, Core: 0, Lens: -1}, {ID: 3, Core: 1, Lens: -1},

@@ -55,7 +55,7 @@ func runPhased(t *testing.T, forward ForwardPolicy, n int) (*Scheduler, *check.R
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetObserver(chk)
+	s.SetProbe(chk)
 	var specs []check.QueueSpec
 	for gid := 0; gid < 3; gid++ {
 		specs = append(specs, check.QueueSpec{ID: gid, Core: -1, Lens: gid})

@@ -95,7 +95,6 @@ type Scheduler struct {
 	steer  *nic.Steerer
 	groups []*group
 	done   sched.Done
-	obs    sched.Observer
 	probe  sched.Probe
 
 	Stats   Stats
@@ -124,7 +123,6 @@ type Scheduler struct {
 	classDisp   []*rack.Dispatcher
 	classDepths [][]int
 	fwdRNG      *rack.SplitMix
-	phaseProbe  sched.PhaseProbe
 }
 
 // New builds an ALTOCUMULUS scheduler. steer distributes arrivals across
@@ -147,7 +145,6 @@ func New(eng *sim.Engine, p Params, cost fabric.CostModel, steer *nic.Steerer, d
 		noc:   topo.NewNoC(mesh),
 		steer: steer,
 		done:  done,
-		obs:   sched.NopObserver{},
 
 		destScratch: make([]int, 0, p.Groups),
 	}
@@ -238,11 +235,8 @@ func New(eng *sim.Engine, p Params, cost fabric.CostModel, steer *nic.Steerer, d
 	return s, nil
 }
 
-// SetObserver installs instrumentation.
-func (s *Scheduler) SetObserver(o sched.Observer) {
-	s.obs, s.probe = o, sched.ProbeOf(o)
-	s.phaseProbe = sched.PhaseProbeOf(o)
-}
+// SetProbe implements sched.Scheduler.
+func (s *Scheduler) SetProbe(p sched.Probe) { s.probe = p }
 
 // localQueueID is the probe id of worker (gid, w)'s local queue: the
 // NetRX queues occupy ids 0..Groups-1, local queues follow in worker
@@ -282,7 +276,9 @@ func (s *Scheduler) Deliver(r *rpcproto.Request) {
 	}
 	r.GroupHint = g.id
 	s.Meter.Arrival(r)
-	s.obs.OnEnqueue(r, g.id, g.netrx.Len())
+	if s.probe != nil {
+		s.probe.OnEnqueue(r, g.id, g.netrx.Len())
+	}
 	r.Enq = s.eng.Now()
 	g.netrx.PushTail(r)
 	s.dispatch(g)
@@ -694,8 +690,8 @@ func (s *Scheduler) phaseAdvance(g *group, w int, r *rpcproto.Request) bool {
 		return false
 	}
 	dst := s.forwardDest(g, cls)
-	if s.phaseProbe != nil {
-		s.phaseProbe.OnPhaseDone(r, g.workers[w].ID)
+	if s.probe != nil {
+		s.probe.OnPhaseDone(r, g.workers[w].ID)
 	}
 	s.Stats.PhaseForwards++
 	var delay sim.Time

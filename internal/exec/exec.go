@@ -59,9 +59,6 @@ func NewCore(eng *sim.Engine, id, tile int) *Core {
 // Busy reports whether the core is currently executing a request.
 func (c *Core) Busy() bool { return c.busy }
 
-// Current returns the request being executed, or nil.
-func (c *Core) Current() *rpcproto.Request { return c.cur }
-
 // BusyTime returns the accumulated execution time (including overheads
 // charged through Start), for utilisation accounting.
 func (c *Core) BusyTime() sim.Time { return c.busyTime }
@@ -215,22 +212,6 @@ func (q *Deque) PopTail() *rpcproto.Request {
 	q.buf[len(q.buf)-1] = nil
 	q.buf = q.buf[:len(q.buf)-1]
 	return r
-}
-
-// PeekTail returns the tail request without removing it, or nil.
-func (q *Deque) PeekTail() *rpcproto.Request {
-	if q.Len() == 0 {
-		return nil
-	}
-	return q.buf[len(q.buf)-1]
-}
-
-// PeekHead returns the head request without removing it, or nil.
-func (q *Deque) PeekHead() *rpcproto.Request {
-	if q.Len() == 0 {
-		return nil
-	}
-	return q.buf[q.head]
 }
 
 // At returns the i-th request from the head (0-based) without removal.

@@ -127,19 +127,20 @@ func TestHeavyExperimentsQuick(t *testing.T) {
 	}
 }
 
-// TestMICAExperimentsMatchQuickSuite renders the four MICA experiments at
-// quick scale, seed 1, and compares each byte for byte with its section
-// of the committed quick-suite output, which scripts/check.sh regenerates
-// in full.
-func TestMICAExperimentsMatchQuickSuite(t *testing.T) {
+// TestExperimentsMatchQuickSuite renders the bare-scheduler experiments
+// (fig03, fig07, fig09, validate) and the four MICA experiments at quick
+// scale, seed 1, and compares each byte for byte with its section of the
+// committed quick-suite output, which scripts/check.sh regenerates in
+// full.
+func TestExperimentsMatchQuickSuite(t *testing.T) {
 	if testing.Short() {
-		t.Skip("MICA experiment regeneration skipped in -short mode")
+		t.Skip("experiment regeneration skipped in -short mode")
 	}
 	suite, err := os.ReadFile("testdata/quick_seed1.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []string{"fig13a", "fig13b", "fig13c", "fig14"} {
+	for _, id := range []string{"fig03", "fig07", "fig09", "validate", "fig13a", "fig13b", "fig13c", "fig14"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			want := quickSection(t, suite, id)

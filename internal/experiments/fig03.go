@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/dist"
-	"repro/internal/exec"
 	"repro/internal/fleet"
 	"repro/internal/report"
 	"repro/internal/rpcproto"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -26,8 +26,9 @@ func init() {
 // fixed overhead on the critical path. The paper sweeps 5 ns (ideal
 // hardware) to 360 ns (a work-stealing operation) and shows that at a
 // 5 us p99 target, the 5 ns scheduler sustains ~3x the load of the
-// 360 ns one. The experiment drives the exec/c-FCFS substrate directly
-// (no NIC) to isolate pure scheduling overhead, as the paper's discrete
+// 360 ns one. Each run feeds sched.Central, with the overhead as its
+// handoff and no dispatch cost, straight from an open-loop generator (no
+// NIC) to isolate pure scheduling overhead, as the paper's discrete
 // event simulation does.
 func runFig03(scale Scale, seed uint64) ([]report.Table, error) {
 	t := report.Table{
@@ -94,57 +95,19 @@ func runFig03(scale Scale, seed uint64) ([]report.Table, error) {
 // runCFCFS simulates an ideal centralized FCFS system where each
 // dispatch charges `overhead` on the request's critical path.
 func runCFCFS(cores int, overhead sim.Time, svc dist.ServiceDist, load float64, n int, seed uint64) (sim.Time, error) {
-	eng := sim.NewEngine()
-	arr := sim.NewRNG(seed)
-	svcRNG := sim.NewRNG(seed + 1)
-	rate := dist.LoadForRate(load, cores, svc)
 	// The overhead inflates effective per-request work; keep offered load
 	// meaningful by measuring against the bare service time as the paper
 	// does (their "offered load" axis).
 	lat := stats.NewSample(n)
-	workers := make([]*exec.Core, cores)
-	for i := range workers {
-		workers[i] = exec.NewCore(eng, i, i)
-	}
-	var queue exec.Deque
-	var pump func()
-	pump = func() {
-		for queue.Len() > 0 {
-			var free *exec.Core
-			for _, w := range workers {
-				if !w.Busy() {
-					free = w
-					break
-				}
-			}
-			if free == nil {
-				return
-			}
-			r := queue.PopHead()
-			free.Start(r, overhead, func(r *rpcproto.Request) {
-				lat.Add(r.Latency())
-				pump()
-			}, nil)
-		}
-	}
-	var schedule func(i int, at sim.Time)
-	schedule = func(i int, at sim.Time) {
-		if i >= n {
-			return
-		}
-		r := &rpcproto.Request{ID: uint64(i), Service: svc.Sample(svcRNG)}
-		gap := dist.Poisson{Rate: rate}.NextGap(arr)
-		eng.At(at, func() {
-			r.Arrival = eng.Now()
-			queue.PushTail(r)
-			pump()
-			schedule(i+1, eng.Now()+gap)
-		})
-	}
-	schedule(0, 0)
-	eng.RunAll()
-	if lat.Len() != n {
-		return 0, fmt.Errorf("fig03: completed %d of %d", lat.Len(), n)
+	err := runCentral(cores, overhead, sched.OpenLoop{
+		Arrivals: dist.Poisson{Rate: dist.LoadForRate(load, cores, svc)},
+		Service:  svc,
+		N:        n,
+		ArrRNG:   sim.NewRNG(seed),
+		SvcRNG:   sim.NewRNG(seed + 1),
+	}, nil, func(r *rpcproto.Request) { lat.Add(r.Latency()) })
+	if err != nil {
+		return 0, fmt.Errorf("fig03: %w", err)
 	}
 	return lat.P99(), nil
 }

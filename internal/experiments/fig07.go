@@ -4,12 +4,12 @@ import (
 	"fmt"
 
 	"repro/internal/dist"
-	"repro/internal/exec"
 	"repro/internal/fleet"
 	"repro/internal/policy"
 	"repro/internal/queueing"
 	"repro/internal/report"
 	"repro/internal/rpcproto"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -140,78 +140,55 @@ type fig07Hist struct {
 // fig07Measure runs the instrumented c-FCFS simulation and returns the
 // queue length at the first SLO violation plus the per-bucket histogram.
 func fig07Measure(cores int, svc dist.ServiceDist, load, l float64, n int, seed uint64) (int, *fig07Hist, error) {
-	eng := sim.NewEngine()
-	arr := sim.NewRNG(seed)
-	svcRNG := sim.NewRNG(seed + 7)
-	rate := dist.LoadForRate(load, cores, svc)
 	slo := sim.Time(l * float64(svc.Mean()))
-
 	hist := &fig07Hist{width: 50, buckets: 16}
 	hist.total = make([]int, hist.buckets)
 	hist.viol = make([]int, hist.buckets)
-	qlenAt := make([]int, n)
-
-	workers := make([]*exec.Core, cores)
-	for i := range workers {
-		workers[i] = exec.NewCore(eng, i, i)
-	}
-	var queue exec.Deque
+	seen := &arrivalQlen{at: make([]int, n)}
 	firstViolationT := -1
-	nDone := 0
-	var pump func()
-	pump = func() {
-		for queue.Len() > 0 {
-			var free *exec.Core
-			for _, w := range workers {
-				if !w.Busy() {
-					free = w
-					break
-				}
-			}
-			if free == nil {
-				return
-			}
-			r := queue.PopHead()
-			free.Start(r, 0, func(r *rpcproto.Request) {
-				nDone++
-				q := qlenAt[r.ID]
-				b := q / hist.width
-				if b >= hist.buckets {
-					b = hist.buckets - 1
-				}
-				hist.total[b]++
-				if r.Latency() > slo {
-					hist.viol[b]++
-					if firstViolationT < 0 || q < firstViolationT {
-						firstViolationT = q
-					}
-				}
-				pump()
-			}, nil)
+	err := runCentral(cores, 0, sched.OpenLoop{
+		Arrivals: dist.Poisson{Rate: dist.LoadForRate(load, cores, svc)},
+		Service:  svc,
+		N:        n,
+		ArrRNG:   sim.NewRNG(seed),
+		SvcRNG:   sim.NewRNG(seed + 7),
+	}, func(s sched.Scheduler) sched.Scheduler {
+		seen.Scheduler = s
+		return seen
+	}, func(r *rpcproto.Request) {
+		q := seen.at[r.ID]
+		b := q / hist.width
+		if b >= hist.buckets {
+			b = hist.buckets - 1
 		}
-	}
-	var schedule func(i int, at sim.Time)
-	schedule = func(i int, at sim.Time) {
-		if i >= n {
-			return
+		hist.total[b]++
+		if r.Latency() > slo {
+			hist.viol[b]++
+			if firstViolationT < 0 || q < firstViolationT {
+				firstViolationT = q
+			}
 		}
-		r := &rpcproto.Request{ID: uint64(i), Service: svc.Sample(svcRNG)}
-		gap := dist.Poisson{Rate: rate}.NextGap(arr)
-		eng.At(at, func() {
-			r.Arrival = eng.Now()
-			qlenAt[r.ID] = queue.Len()
-			queue.PushTail(r)
-			pump()
-			schedule(i+1, eng.Now()+gap)
-		})
-	}
-	schedule(0, 0)
-	eng.RunAll()
-	if nDone != n {
-		return 0, nil, fmt.Errorf("fig07: completed %d of %d", nDone, n)
+	})
+	if err != nil {
+		return 0, nil, fmt.Errorf("fig07: %w", err)
 	}
 	if firstViolationT < 0 {
 		firstViolationT = 0
 	}
 	return firstViolationT, hist, nil
+}
+
+// arrivalQlen records, per request id, the central queue length each
+// request finds on arrival: the qlen the wrapped scheduler's Deliver
+// reports to its probe's OnEnqueue.
+type arrivalQlen struct {
+	sched.Scheduler
+	at  []int
+	buf []int
+}
+
+func (a *arrivalQlen) Deliver(r *rpcproto.Request) {
+	a.buf = a.Scheduler.QueueLensInto(a.buf)
+	a.at[r.ID] = a.buf[0]
+	a.Scheduler.Deliver(r)
 }

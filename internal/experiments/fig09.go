@@ -7,6 +7,7 @@ import (
 	"repro/internal/nic"
 	"repro/internal/report"
 	"repro/internal/rpcproto"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -86,23 +87,14 @@ func fig09Snapshot(pol nic.SteerPolicy, n int, seed uint64) ([]int, error) {
 		return nil, err
 	}
 
-	arr := root.Fork(1)
-	svcRNG := root.Fork(2)
-	rate := dist.LoadForRate(0.995, 4*63, svc)
-	var schedule func(i int, at sim.Time)
-	schedule = func(i int, at sim.Time) {
-		if i >= n {
-			return
-		}
-		r := &rpcproto.Request{ID: uint64(i), Conn: uint32(arr.Intn(64)), Service: svc.Sample(svcRNG)}
-		gap := dist.Poisson{Rate: rate}.NextGap(arr)
-		eng.At(at, func() {
-			r.Arrival = eng.Now()
-			s.Deliver(r)
-			schedule(i+1, eng.Now()+gap)
-		})
-	}
-	schedule(0, 0)
+	sched.OpenLoop{
+		Arrivals: dist.Poisson{Rate: dist.LoadForRate(0.995, 4*63, svc)},
+		Service:  svc,
+		N:        n,
+		Conns:    64,
+		ArrRNG:   root.Fork(1),
+		SvcRNG:   root.Fork(2),
+	}.Start(eng, s)
 	for snapshot == nil && nDone < n {
 		eng.Run(eng.Now() + sim.Millisecond)
 	}

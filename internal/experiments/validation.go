@@ -5,12 +5,11 @@ import (
 	"math"
 
 	"repro/internal/dist"
-	"repro/internal/exec"
 	"repro/internal/queueing"
 	"repro/internal/report"
 	"repro/internal/rpcproto"
+	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 func init() {
@@ -96,69 +95,32 @@ func runValidate(scale Scale, seed uint64) ([]report.Table, error) {
 // simulateFCFS runs a plain k-server FCFS queue and returns the mean wait
 // in microseconds and the fraction of requests that waited.
 func simulateFCFS(k int, svc dist.ServiceDist, load float64, n int, seed uint64) (meanWaitUS, pWait float64, err error) {
-	eng := sim.NewEngine()
-	arr := sim.NewRNG(seed)
-	svcRNG := sim.NewRNG(seed + 1)
-	rate := dist.LoadForRate(load, k, svc)
-
-	waits := stats.NewSample(n)
-	waited, measured := 0, 0
+	// Skip the cold-start transient: an initially empty queue biases the
+	// mean wait low, badly so for many-server systems whose equilibrium
+	// waits are tiny.
 	warm := n / 5
-	workers := make([]*exec.Core, k)
-	for i := range workers {
-		workers[i] = exec.NewCore(eng, i, i)
-	}
-	var queue exec.Deque
-	nDone := 0
-	var pump func()
-	pump = func() {
-		for queue.Len() > 0 {
-			var free *exec.Core
-			for _, w := range workers {
-				if !w.Busy() {
-					free = w
-					break
-				}
-			}
-			if free == nil {
-				return
-			}
-			r := queue.PopHead()
-			// Skip the cold-start transient: an initially empty queue
-			// biases the mean wait low, badly so for many-server systems
-			// whose equilibrium waits are tiny.
-			if int(r.ID) >= warm {
-				wait := eng.Now() - r.Arrival
-				waits.Add(wait)
-				measured++
-				if wait > 0 {
-					waited++
-				}
-			}
-			free.Start(r, 0, func(*rpcproto.Request) {
-				nDone++
-				pump()
-			}, nil)
-		}
-	}
-	var schedule func(i int, at sim.Time)
-	schedule = func(i int, at sim.Time) {
-		if i >= n {
+	var waitSum int64
+	waited, measured := 0, 0
+	err = runCentral(k, 0, sched.OpenLoop{
+		Arrivals: dist.Poisson{Rate: dist.LoadForRate(load, k, svc)},
+		Service:  svc,
+		N:        n,
+		ArrRNG:   sim.NewRNG(seed),
+		SvcRNG:   sim.NewRNG(seed + 1),
+	}, nil, func(r *rpcproto.Request) {
+		if int(r.ID) < warm {
 			return
 		}
-		r := &rpcproto.Request{ID: uint64(i), Service: svc.Sample(svcRNG)}
-		gap := dist.Poisson{Rate: rate}.NextGap(arr)
-		eng.At(at, func() {
-			r.Arrival = eng.Now()
-			queue.PushTail(r)
-			pump()
-			schedule(i+1, eng.Now()+gap)
-		})
+		wait := r.Start - r.Arrival
+		waitSum += int64(wait)
+		measured++
+		if wait > 0 {
+			waited++
+		}
+	})
+	if err != nil {
+		return 0, 0, fmt.Errorf("validate: %w", err)
 	}
-	schedule(0, 0)
-	eng.RunAll()
-	if nDone != n {
-		return 0, 0, fmt.Errorf("validate: completed %d of %d", nDone, n)
-	}
-	return waits.Mean().Microseconds(), float64(waited) / float64(measured), nil
+	meanWait := sim.Time(float64(waitSum) / float64(measured))
+	return meanWait.Microseconds(), float64(waited) / float64(measured), nil
 }

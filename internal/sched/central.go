@@ -23,7 +23,6 @@ type Central struct {
 	claimed  []bool // dispatch in flight toward this worker
 	queue    exec.Deque
 	done     Done
-	obs      Observer
 	probe    Probe
 	dispFree sim.Time // dispatcher busy-until
 
@@ -34,8 +33,6 @@ type Central struct {
 	landFns    []func(any, int64)
 	doneFns    []func(*rpcproto.Request)
 	preemptFns []func(*rpcproto.Request)
-
-	preempted uint64
 }
 
 // NewCentral builds a Shinjuku-style scheduler with n worker cores (the
@@ -50,7 +47,6 @@ func NewCentral(eng *sim.Engine, n int, dispatch, handoff, quantum, preemptCost 
 		workers:      make([]*exec.Core, n),
 		claimed:      make([]bool, n),
 		done:         done,
-		obs:          NopObserver{},
 	}
 	s.landFns = make([]func(any, int64), n)
 	s.doneFns = make([]func(*rpcproto.Request), n)
@@ -77,8 +73,8 @@ func NewCentral(eng *sim.Engine, n int, dispatch, handoff, quantum, preemptCost 
 	return s
 }
 
-// SetObserver installs instrumentation.
-func (s *Central) SetObserver(o Observer) { s.obs, s.probe = o, ProbeOf(o) }
+// SetProbe implements Scheduler.
+func (s *Central) SetProbe(p Probe) { s.probe = p }
 
 // Name implements Scheduler.
 func (s *Central) Name() string { return "shinjuku-central" }
@@ -87,7 +83,9 @@ func (s *Central) Name() string { return "shinjuku-central" }
 //
 //altolint:hotpath
 func (s *Central) Deliver(r *rpcproto.Request) {
-	s.obs.OnEnqueue(r, 0, s.queue.Len())
+	if s.probe != nil {
+		s.probe.OnEnqueue(r, 0, s.queue.Len())
+	}
 	r.Enq = s.eng.Now()
 	s.queue.PushTail(r)
 	s.pump()
@@ -137,7 +135,6 @@ func (s *Central) onDone(r *rpcproto.Request) {
 }
 
 func (s *Central) onPreempt(r *rpcproto.Request) {
-	s.preempted++
 	// The remainder returns to the tail of the central queue (processor
 	// sharing across long requests, Shinjuku-style).
 	if s.probe != nil {
@@ -166,8 +163,5 @@ func (s *Central) QueueLensInto(buf []int) []int {
 // Cores exposes the worker array for utilisation reporting (the
 // dispatcher core is additional and always busy polling).
 func (s *Central) Cores() []*exec.Core { return s.workers }
-
-// Preemptions returns the number of quantum expiries observed.
-func (s *Central) Preemptions() uint64 { return s.preempted }
 
 var _ Scheduler = (*Central)(nil)

@@ -21,7 +21,6 @@ type DFCFS struct {
 	queues  []exec.Deque
 	steerer *nic.Steerer
 	done    Done
-	obs     Observer
 	probe   Probe
 	// doneFns[i] is core i's completion callback, bound once here so the
 	// per-request path never allocates a closure.
@@ -38,7 +37,6 @@ func NewDFCFS(eng *sim.Engine, n int, steerer *nic.Steerer, pickup sim.Time, don
 		queues:     make([]exec.Deque, n),
 		steerer:    steerer,
 		done:       done,
-		obs:        NopObserver{},
 	}
 	s.doneFns = make([]func(*rpcproto.Request), n)
 	for i := range s.cores {
@@ -55,8 +53,8 @@ func NewDFCFS(eng *sim.Engine, n int, steerer *nic.Steerer, pickup sim.Time, don
 	return s
 }
 
-// SetObserver installs instrumentation.
-func (s *DFCFS) SetObserver(o Observer) { s.obs, s.probe = o, ProbeOf(o) }
+// SetProbe implements Scheduler.
+func (s *DFCFS) SetProbe(p Probe) { s.probe = p }
 
 // Name implements Scheduler.
 func (s *DFCFS) Name() string { return s.Label }
@@ -67,7 +65,9 @@ func (s *DFCFS) Name() string { return s.Label }
 func (s *DFCFS) Deliver(r *rpcproto.Request) {
 	q := s.steerer.Steer(r)
 	r.GroupHint = q
-	s.obs.OnEnqueue(r, q, s.queues[q].Len())
+	if s.probe != nil {
+		s.probe.OnEnqueue(r, q, s.queues[q].Len())
+	}
 	r.Enq = s.eng.Now()
 	s.queues[q].PushTail(r)
 	s.tryStart(q)
@@ -101,4 +101,3 @@ func (s *DFCFS) QueueLensInto(buf []int) []int {
 func (s *DFCFS) Cores() []*exec.Core { return s.cores }
 
 var _ Scheduler = (*DFCFS)(nil)
-var _ starter = (*DFCFS)(nil)

@@ -57,7 +57,6 @@ type JBSQ struct {
 	pending    []int        // per-core outstanding count incl. in-flight pushes
 	central    exec.Deque
 	done       Done
-	obs        Observer
 	probe      Probe
 	rr         int      // round-robin scan pointer over cores
 	engineFree sim.Time // central engine busy-until
@@ -89,7 +88,6 @@ func NewJBSQ(eng *sim.Engine, n int, variant JBSQVariant, bound int, xfer, engin
 		local:      make([]exec.Deque, n),
 		pending:    make([]int, n),
 		done:       done,
-		obs:        NopObserver{},
 	}
 	s.landFns = make([]func(any, int64), n)
 	s.doneFns = make([]func(*rpcproto.Request), n)
@@ -132,8 +130,8 @@ func jbsqResume(arg any, _ int64) {
 	s.drain()
 }
 
-// SetObserver installs instrumentation.
-func (s *JBSQ) SetObserver(o Observer) { s.obs, s.probe = o, ProbeOf(o) }
+// SetProbe implements Scheduler.
+func (s *JBSQ) SetProbe(p Probe) { s.probe = p }
 
 // Name implements Scheduler.
 func (s *JBSQ) Name() string { return "jbsq-" + s.Variant.String() }
@@ -142,7 +140,9 @@ func (s *JBSQ) Name() string { return "jbsq-" + s.Variant.String() }
 //
 //altolint:hotpath
 func (s *JBSQ) Deliver(r *rpcproto.Request) {
-	s.obs.OnEnqueue(r, 0, s.central.Len())
+	if s.probe != nil {
+		s.probe.OnEnqueue(r, 0, s.central.Len())
+	}
 	r.Enq = s.eng.Now()
 	s.central.PushTail(r)
 	s.drain()

@@ -25,7 +25,6 @@ type RSSPlus struct {
 	buckets int
 	load    []int // per-bucket requests since last rebalance
 	done    Done
-	obs     Observer
 	probe   Probe
 	stopped bool
 	// doneFns[i] is core i's completion callback, bound once at
@@ -55,7 +54,6 @@ func NewRSSPlus(eng *sim.Engine, n, buckets int, pickup, interval sim.Time, done
 		buckets:    buckets,
 		load:       make([]int, buckets),
 		done:       done,
-		obs:        NopObserver{},
 	}
 	s.doneFns = make([]func(*rpcproto.Request), n)
 	s.coreLoad = make([]int, n)
@@ -85,8 +83,8 @@ func NewRSSPlus(eng *sim.Engine, n, buckets int, pickup, interval sim.Time, done
 	return s
 }
 
-// SetObserver installs instrumentation.
-func (s *RSSPlus) SetObserver(o Observer) { s.obs, s.probe = o, ProbeOf(o) }
+// SetProbe implements Scheduler.
+func (s *RSSPlus) SetProbe(p Probe) { s.probe = p }
 
 // Name implements Scheduler.
 func (s *RSSPlus) Name() string { return "rss++" }
@@ -102,7 +100,9 @@ func (s *RSSPlus) Deliver(r *rpcproto.Request) {
 	s.load[b]++
 	q := s.table[b]
 	r.GroupHint = q
-	s.obs.OnEnqueue(r, q, s.queues[q].Len())
+	if s.probe != nil {
+		s.probe.OnEnqueue(r, q, s.queues[q].Len())
+	}
 	r.Enq = s.eng.Now()
 	s.queues[q].PushTail(r)
 	s.tryStart(q)

@@ -34,25 +34,13 @@ type Scheduler interface {
 	// with the same buffer; a nil buf yields a fresh slice the caller may
 	// keep.
 	QueueLensInto(buf []int) []int
+	// SetProbe installs instrumentation; nil switches it off.
+	SetProbe(p Probe)
 }
 
 // Done is invoked exactly once per request at completion time, with
 // r.Finish set.
 type Done func(r *rpcproto.Request)
-
-// Observer receives scheduling-time instrumentation. The Fig. 7 analysis
-// records the queue length each request observed on arrival.
-type Observer interface {
-	// OnEnqueue fires when r joins queue q whose length (excluding r) was
-	// qlen.
-	OnEnqueue(r *rpcproto.Request, q, qlen int)
-}
-
-// NopObserver ignores all events.
-type NopObserver struct{}
-
-// OnEnqueue implements Observer.
-func (NopObserver) OnEnqueue(*rpcproto.Request, int, int) {}
 
 // RequeueCause says why a request re-entered a queue after its first
 // enqueue (OnEnqueue fires exactly once per request, at delivery).
@@ -91,11 +79,12 @@ func (c RequeueCause) String() string {
 	}
 }
 
-// Probe is the full-fidelity instrumentation interface: every queue
+// Probe is the scheduler's one instrumentation seam: every queue
 // mutation and core transition a scheduler performs, in the order it
-// performs them. It exists for the invariant checker (internal/check);
-// schedulers emit probe events only when the installed Observer also
-// implements Probe, so plain observers cost nothing extra.
+// performs them. The invariant checker (internal/check) implements it.
+// A scheduler holds at most one Probe, nil when none is installed, and
+// guards every hook with a nil check, so an unprobed run pays one
+// predictable branch per event.
 //
 // Queue ids are scheduler-specific but fixed per instance:
 //
@@ -107,7 +96,9 @@ func (c RequeueCause) String() string {
 //     G + g*W + w is worker (g, w)'s local queue, whose core id is
 //     g*W + w.
 type Probe interface {
-	Observer
+	// OnEnqueue fires when r joins queue q whose length (excluding r)
+	// was qlen: its first enqueue, at delivery.
+	OnEnqueue(r *rpcproto.Request, q, qlen int)
 	// OnRequeue fires when r re-joins the tail of queue q for the given
 	// cause; qlen is the queue length excluding r.
 	OnRequeue(r *rpcproto.Request, q int, cause RequeueCause, qlen int)
@@ -136,41 +127,12 @@ type Probe interface {
 	// time, batch the configured batch size S, guarded whether the
 	// q[src]-S < q[dst]+S check was enabled.
 	OnMigrate(src, dst, srcLen, dstView, batch int, guarded bool)
-}
-
-// ProbeOf returns o as a Probe, or nil when o is a plain Observer.
-// Schedulers cache the result so the per-event cost of an uninstalled
-// probe is one nil check.
-func ProbeOf(o Observer) Probe {
-	if p, ok := o.(Probe); ok {
-		return p
-	}
-	return nil
-}
-
-// PhaseProbe extends Probe with phase-lifecycle events for schedulers
-// that run multi-phase requests (internal/core with heterogeneous
-// groups). Separate from Probe so existing probes keep compiling.
-type PhaseProbe interface {
-	Probe
 	// OnPhaseDone fires when core finishes a non-final phase of r and
 	// the scheduler takes the request off the core to forward it (the
 	// back-to-back local continuation emits no event). r.Phase has
-	// already advanced to the next phase.
+	// already advanced to the next phase. Only multi-phase schedulers
+	// (internal/core with heterogeneous groups) emit it.
 	OnPhaseDone(r *rpcproto.Request, core int)
-}
-
-// PhaseProbeOf returns o as a PhaseProbe, or nil.
-func PhaseProbeOf(o Observer) PhaseProbe {
-	if p, ok := o.(PhaseProbe); ok {
-		return p
-	}
-	return nil
-}
-
-// pickupLoop is a tiny helper shared by queue-draining schedulers.
-type starter interface {
-	tryStart(core int)
 }
 
 // overheadOrZero guards against negative configured overheads.

@@ -165,6 +165,8 @@ func TestCentralPreemptionBreaksHOL(t *testing.T) {
 	// runs after at most one quantum even on a single worker.
 	h := newHarness(2)
 	s := NewCentral(h.eng, 1, 0, 0, 5*us(1), 100*sim.Nanosecond, h.done)
+	probe := &countingProbe{}
+	s.SetProbe(probe)
 	long := &rpcproto.Request{ID: 1, Service: us(50)}
 	short := &rpcproto.Request{ID: 2, Service: us(1)}
 	h.eng.At(0, func() { s.Deliver(long) })
@@ -176,7 +178,7 @@ func TestCentralPreemptionBreaksHOL(t *testing.T) {
 	if long.Finish < us(50) {
 		t.Fatalf("long finished too early: %v", long.Finish)
 	}
-	if s.Preemptions() == 0 {
+	if probe.preempted == 0 {
 		t.Fatal("no preemptions recorded")
 	}
 	if len(s.QueueLensInto(nil)) != 1 {

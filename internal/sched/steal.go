@@ -24,7 +24,6 @@ type Steal struct {
 	steerer *nic.Steerer
 	rng     *sim.RNG
 	done    Done
-	obs     Observer
 	probe   Probe
 
 	// doneFns[i] is core i's completion callback, bound once at
@@ -47,7 +46,6 @@ func NewSteal(eng *sim.Engine, n int, steerer *nic.Steerer, pickup, steal sim.Ti
 		steerer:    steerer,
 		rng:        rng,
 		done:       done,
-		obs:        NopObserver{},
 	}
 	s.doneFns = make([]func(*rpcproto.Request), n)
 	for i := range s.cores {
@@ -64,8 +62,8 @@ func NewSteal(eng *sim.Engine, n int, steerer *nic.Steerer, pickup, steal sim.Ti
 	return s
 }
 
-// SetObserver installs instrumentation.
-func (s *Steal) SetObserver(o Observer) { s.obs, s.probe = o, ProbeOf(o) }
+// SetProbe implements Scheduler.
+func (s *Steal) SetProbe(p Probe) { s.probe = p }
 
 // Name implements Scheduler.
 func (s *Steal) Name() string { return "zygos-steal" }
@@ -77,7 +75,9 @@ func (s *Steal) Deliver(r *rpcproto.Request) {
 	s.Delivered++
 	q := s.steerer.Steer(r)
 	r.GroupHint = q
-	s.obs.OnEnqueue(r, q, s.queues[q].Len())
+	if s.probe != nil {
+		s.probe.OnEnqueue(r, q, s.queues[q].Len())
+	}
 	r.Enq = s.eng.Now()
 	s.queues[q].PushTail(r)
 	if !s.cores[q].Busy() {

@@ -457,7 +457,7 @@ func run(sc *Scratch, rc *RackConfig, cfg Config, wl Workload) (*RackResult, err
 			return nil, err
 		}
 		if chk != nil {
-			sch.(interface{ SetObserver(sched.Observer) }).SetObserver(chk)
+			sch.SetProbe(chk)
 			chk.Attach(eng, checkSpecs(cfg), sch.QueueLensInto)
 		}
 		g.servers[s] = server{sched: sch, rx: rx, chk: chk, pricedSize: -1}
