@@ -146,6 +146,60 @@ func TestMigrateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestTickZeroAlloc is the gate on the manager tick: on a warm 64-group
+// machine, a period in which every manager broadcasts a changed depth
+// (63 landings each) and one in which none does (no landing at all)
+// allocate nothing.
+func TestTickZeroAlloc(t *testing.T) {
+	p := DefaultParams(64, 15)
+	p.Period = sim.Microsecond
+	r := newUpdateRig(t, p)
+	reqs := make([]rpcproto.Request, p.Groups)
+	// Periods run from mid-period to mid-period, so each covers one tick
+	// of every manager and all of its landings. (Run leaves the clock at
+	// the last event it fired while ticks are pending, so the boundary is
+	// kept here.)
+	until := p.Period / 2
+	r.eng.Run(until)
+	period := func(changed bool) {
+		if changed {
+			for gid := range r.sent { // each depth toggles between 0 and 1
+				q := &r.s.groups[gid].netrx
+				if q.Len() == 0 {
+					q.PushTail(&reqs[gid])
+				} else {
+					q.PopTail()
+				}
+				r.sent[gid] = q.Len()
+			}
+		}
+		until += p.Period
+		r.eng.Run(until)
+	}
+	for i := 0; i < 4; i++ { // grow the event slab and the queues
+		period(true)
+	}
+	period(false)
+
+	ticks, sent := r.s.Stats.Ticks, r.s.Stats.UpdatesSent
+	if avg := testing.AllocsPerRun(100, func() { period(true) }); avg != 0 {
+		t.Errorf("a period of ticks with landings allocates %.1f times, want 0", avg)
+	}
+	r.checkViews()
+	pending := r.eng.Pending()
+	if avg := testing.AllocsPerRun(100, func() { period(false) }); avg != 0 {
+		t.Errorf("a period of ticks without landings allocates %.1f times, want 0", avg)
+	}
+	if got := r.eng.Pending(); got != pending {
+		t.Errorf("unchanged depths left %d events pending, want the %d ticks", got, pending)
+	}
+	r.checkViews()
+	periods := uint64(2 * 101) // each AllocsPerRun runs its function once more to warm up
+	if dt, ds := r.s.Stats.Ticks-ticks, r.s.Stats.UpdatesSent-sent; dt != periods*64 || ds != dt*63 {
+		t.Errorf("%d ticks sent %d UPDATEs, want %d ticks of 63", dt, ds, periods*64)
+	}
+}
+
 // TestMigrationRecordOutlivesItsEvents pins the reason records are
 // recycled by count: a FIFO pop frees the oldest batch, not the popping
 // event's own, so a batch whose events have all fired can still sit in a

@@ -190,8 +190,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("core: Concurrency = %d, need >= 1", p.Concurrency)
 	case p.MRCapacity < 1 || p.FIFOCapacity < 1:
 		return fmt.Errorf("core: MR/FIFO capacities must be >= 1")
-	case p.WorkerDepth < 1:
-		return fmt.Errorf("core: WorkerDepth = %d, need >= 1", p.WorkerDepth)
+	case p.WorkerDepth < 1 || p.WorkerDepth > maxWorkerDepth:
+		return fmt.Errorf("core: WorkerDepth = %d, need 1..%d", p.WorkerDepth, maxWorkerDepth)
 	case p.SLOMultiplier <= 0:
 		return fmt.Errorf("core: SLOMultiplier = %v, need > 0", p.SLOMultiplier)
 	}

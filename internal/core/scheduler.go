@@ -22,9 +22,15 @@ type group struct {
 	id      int
 	tile    int // manager tile on the mesh
 	workers []*exec.Core
-	claimed []int // in-flight dispatches per worker
 	local   []exec.Deque
 	netrx   exec.Deque
+
+	// out[w] is worker w's outstanding count: running + local queue +
+	// dispatches in flight. levels files every worker below WorkerDepth
+	// under its count, so freeWorker reads the least-loaded one without
+	// a scan.
+	out    []int
+	levels depthSets
 
 	// Heterogeneity (DESIGN.md §15): the group's hardware class, the
 	// ascending ids of the groups sharing it (its migration peers), and
@@ -58,6 +64,10 @@ type group struct {
 	pr   hwmsg.ParamRegs
 
 	mgrFree sim.Time // manager-core busy-until (runtime ops + software dispatch)
+
+	// every is the tick's re-arm interval: the group's period stretched
+	// by the runtime cost (policy.EffectivePeriod), fixed at construction.
+	every sim.Time
 
 	// Callbacks bound once at construction so the per-request and
 	// per-tick paths never allocate closures: tickFn is this manager's
@@ -100,6 +110,10 @@ type Scheduler struct {
 	Stats   Stats
 	ticking bool
 	stopped bool
+
+	// tickCost is one Algorithm 1 iteration's software/hardware interface
+	// cost on the manager core (policy.TickCost), fixed at construction.
+	tickCost sim.Time
 
 	// Tick-time scratch (pre-sized to Groups so it never grows): the
 	// destination set for the §VI pattern classification. The rank
@@ -147,6 +161,7 @@ func New(eng *sim.Engine, p Params, cost fabric.CostModel, steer *nic.Steerer, d
 		done:  done,
 
 		destScratch: make([]int, 0, p.Groups),
+		tickCost:    sim.Time(policy.TickCost(p.Groups, cost.Policy(), p.Iface)),
 	}
 
 	// Class layout. Homogeneous configurations get classes == 1 and one
@@ -186,6 +201,8 @@ func New(eng *sim.Engine, p Params, cost fabric.CostModel, steer *nic.Steerer, d
 
 	tilesPerGroup := p.WorkersPerGroup + 1
 	peerCursor := make([]int, s.classes)
+	levelWords := depthSetWords(p.WorkersPerGroup, p.WorkerDepth)
+	levelSlab := make([]uint64, p.Groups*levelWords) // every group's depth levels, one allocation
 	for gid := 0; gid < p.Groups; gid++ {
 		cls := p.ClassOf(gid)
 		peers := s.classGroups[cls]
@@ -193,8 +210,9 @@ func New(eng *sim.Engine, p Params, cost fabric.CostModel, steer *nic.Steerer, d
 			id:      gid,
 			tile:    gid * tilesPerGroup, // manager occupies the group's first tile
 			workers: make([]*exec.Core, p.WorkersPerGroup),
-			claimed: make([]int, p.WorkersPerGroup),
 			local:   make([]exec.Deque, p.WorkersPerGroup),
+			out:     make([]int, p.WorkersPerGroup),
+			levels:  newDepthSets(levelSlab[gid*levelWords:(gid+1)*levelWords:(gid+1)*levelWords], p.WorkersPerGroup),
 			class:   cls,
 			peers:   peers,
 			peerIdx: peerCursor[cls],
@@ -210,6 +228,7 @@ func New(eng *sim.Engine, p Params, cost fabric.CostModel, steer *nic.Steerer, d
 			period = sim.Time(s.plan.Period(int(cls)))
 		}
 		g.pr.Configure(period, p.Bulk, p.Concurrency)
+		g.every = sim.Time(policy.EffectivePeriod(policy.Duration(period), policy.Duration(s.tickCost)))
 		g.tickFn = func() { s.tick(g) }
 		g.phaseLandFn = func(arg any, _ int64) { s.phaseLand(g, arg.(*rpcproto.Request)) }
 		g.landFns = make([]func(any, int64), p.WorkersPerGroup)
@@ -222,6 +241,7 @@ func New(eng *sim.Engine, p Params, cost fabric.CostModel, steer *nic.Steerer, d
 			g.workers[w].OnPhase = func(r *rpcproto.Request) bool { return s.phaseAdvance(g, w, r) }
 			g.landFns[w] = func(arg any, _ int64) { s.dispatchLand(g, w, arg.(*rpcproto.Request)) }
 			g.doneFns[w] = func(r *rpcproto.Request) {
+				g.release(w)
 				if s.probe != nil {
 					s.probe.OnComplete(r, g.workers[w].ID)
 				}
@@ -324,19 +344,15 @@ func (s *Scheduler) GroupView(gid int) []int {
 //altolint:hotpath
 func (s *Scheduler) dispatch(g *group) {
 	for g.netrx.Len() > 0 {
-		w := s.freeWorker(g)
+		w := g.freeWorker()
 		if w < 0 {
 			return
 		}
 		r := g.netrx.PopHead()
-		g.claimed[w]++
+		g.hold(w)
 		if s.probe != nil {
 			s.probe.OnDequeue(r, g.id, false)
-			n := g.claimed[w] + g.local[w].Len()
-			if g.workers[w].Busy() {
-				n++
-			}
-			s.probe.OnOutstanding(r, g.workers[w].ID, n, s.P.WorkerDepth)
+			s.probe.OnOutstanding(r, g.workers[w].ID, g.out[w], s.P.WorkerDepth)
 		}
 		var delay sim.Time
 		switch s.P.Local {
@@ -359,11 +375,10 @@ func (s *Scheduler) dispatch(g *group) {
 }
 
 // dispatchLand completes a manager-to-worker handoff: the request joins
-// worker w's local queue.
+// worker w's local queue (its outstanding count already holds it).
 //
 //altolint:hotpath
 func (s *Scheduler) dispatchLand(g *group, w int, r *rpcproto.Request) {
-	g.claimed[w]--
 	if s.probe != nil {
 		s.probe.OnRequeue(r, s.localQueueID(g.id, w), sched.RequeueTransfer, g.local[w].Len())
 	}
@@ -372,19 +387,23 @@ func (s *Scheduler) dispatchLand(g *group, w int, r *rpcproto.Request) {
 }
 
 // freeWorker returns the least-loaded worker with outstanding count
-// (running + local queue + in-flight dispatches) below WorkerDepth.
-func (s *Scheduler) freeWorker(g *group) int {
-	best, bestN := -1, s.P.WorkerDepth
-	for w := range g.workers {
-		n := g.claimed[w] + g.local[w].Len()
-		if g.workers[w].Busy() {
-			n++
-		}
-		if n < bestN {
-			best, bestN = w, n
-		}
-	}
-	return best
+// (running + local queue + in-flight dispatches) below WorkerDepth, the
+// lowest-numbered one on a tie, or -1 when every worker is at the bound.
+func (g *group) freeWorker() int { return g.levels.first() }
+
+// hold counts one more request outstanding on worker w (a dispatch).
+func (g *group) hold(w int) {
+	n := g.out[w]
+	g.out[w] = n + 1
+	g.levels.move(w, n, n+1)
+}
+
+// release counts one request fewer outstanding on worker w: it finished,
+// or its phase was forwarded off the worker.
+func (g *group) release(w int) {
+	n := g.out[w]
+	g.out[w] = n - 1
+	g.levels.move(w, n, n-1)
 }
 
 //altolint:hotpath
@@ -407,16 +426,36 @@ func (s *Scheduler) tryStart(g *group, w int) {
 // shared-cache exchange — two to three cache-line transfers — and also
 // occupies the sending manager core.
 func (s *Scheduler) msgSend(g *group, dstTile, size int) (injectDone, arrive sim.Time) {
-	if !s.P.SoftwareMessaging {
-		return s.noc.Send(s.eng.Now(), g.tile, dstTile, size)
-	}
+	injectDone = s.book(g, 1, size).Injected(0)
+	return injectDone, injectDone + s.transit(g, dstTile)
+}
+
+// book charges n runtime messages of size bytes sent back to back by g's
+// manager now, in closed form: the source link (NoC) or, under
+// SoftwareMessaging, the manager core is occupied as n single sends
+// would occupy it, and message k has left the sender Injected(k) after
+// now. n must be at least 1.
+func (s *Scheduler) book(g *group, n, size int) topo.Burst {
 	now := s.eng.Now()
+	if !s.P.SoftwareMessaging {
+		return s.noc.Broadcast(now, g.tile, n, size)
+	}
 	if g.mgrFree < now {
 		g.mgrFree = now
 	}
-	g.mgrFree += s.Cost.CacheMiss
-	d := 3 * s.Cost.CacheMiss
-	return (g.mgrFree - now), (g.mgrFree - now) + d
+	b := topo.Burst{Base: g.mgrFree - now, Step: s.Cost.CacheMiss}
+	g.mgrFree += sim.Time(n) * s.Cost.CacheMiss
+	return b
+}
+
+// transit is a runtime message's delay from leaving g's manager until it
+// is fully received at dstTile: the mesh hops at 3 ns each, or under
+// SoftwareMessaging three cache-line transfers.
+func (s *Scheduler) transit(g *group, dstTile int) sim.Time {
+	if s.P.SoftwareMessaging {
+		return 3 * s.Cost.CacheMiss
+	}
+	return s.noc.Transit(g.tile, dstTile)
 }
 
 // startTicks begins the periodic runtime on every manager core on first
@@ -454,48 +493,53 @@ func (s *Scheduler) tick(g *group) {
 	// manager core: one register read per remote queue length, a status
 	// read, a config write, plus the threshold computation. The cost
 	// arithmetic lives in policy so the live runtime charges identically.
-	runtimeCost := sim.Time(policy.TickCost(s.P.Groups, s.Cost.Policy(), s.P.Iface))
 	now := s.eng.Now()
 	if g.mgrFree < now {
 		g.mgrFree = now
 	}
-	g.mgrFree += runtimeCost
+	g.mgrFree += s.tickCost
 
 	// Schedule the next iteration. A software runtime cannot iterate
 	// faster than its own execution; when the configured period is
 	// shorter than the runtime cost (e.g. MSR ops at a 100 ns period) the
-	// effective period stretches, capping the runtime's manager-core duty
-	// cycle at 50% so request dispatch is never starved. Rearm rides the
-	// engine's periodic fast path: the tick keeps its slab slot and
-	// bucket bookkeeping instead of a delete+insert each period.
-	next := sim.Time(policy.EffectivePeriod(policy.Duration(g.pr.Period), policy.Duration(runtimeCost)))
-	s.eng.Rearm(next)
+	// effective period stretches (g.every), capping the runtime's
+	// manager-core duty cycle at 50% so request dispatch is never
+	// starved. Rearm rides the engine's periodic fast path: the tick
+	// keeps its slab slot and bucket bookkeeping instead of a
+	// delete+insert each period.
+	s.eng.Rearm(g.every)
 
 	// Refresh own view entry and broadcast UPDATE to the managers of
-	// this group's class peers (all managers when homogeneous). Each
-	// UPDATE rides an arg-event (destination group + packed sender peer
-	// index/qlen) so the broadcast allocates nothing.
+	// this group's class peers (all managers when homogeneous), one
+	// message per peer in peer order. Each UPDATE rides an arg-event
+	// (destination group + packed sender peer index/qlen) so the
+	// broadcast allocates nothing.
 	//
 	// Every message is charged (link or manager occupancy, UpdatesSent),
-	// but a landing is an event only when it can change the peer's view:
-	// when qlen differs from the length last broadcast. That is exact
-	// because a peer's entry for g is written by g's landings alone, g's
-	// landings at one peer arrive in send order (source-link and
-	// manager-core occupancy only move forward, ties fire in schedule
-	// order), and rank.Set drops an equal write anyway (DESIGN.md §14).
+	// in closed form, so a tick with nothing to land costs O(1). A
+	// landing is an event only when it can change the peer's view: when
+	// qlen differs from the length last broadcast. That is exact because
+	// a peer's entry for g is written by g's landings alone, g's landings
+	// at one peer arrive in send order (source-link and manager-core
+	// occupancy only move forward, ties fire in schedule order), and
+	// rank.Set drops an equal write anyway (DESIGN.md §14).
 	qlen := g.netrx.Len()
 	g.rank.Set(g.peerIdx, qlen)
 	lands := qlen != g.sent
 	g.sent = qlen
-	for _, pid := range g.peers {
-		h := s.groups[pid]
-		if h.id == g.id {
-			continue
-		}
-		_, arrive := s.msgSend(g, h.tile, hwmsg.UpdateWireSize)
-		s.Stats.UpdatesSent++
+	if n := len(g.peers) - 1; n > 0 {
+		s.Stats.UpdatesSent += uint64(n)
+		b := s.book(g, n, hwmsg.UpdateWireSize)
 		if lands {
-			s.eng.AtArg(now+arrive, updateLand, h, int64(g.peerIdx)<<32|int64(qlen))
+			k := 0
+			for _, pid := range g.peers {
+				if pid == g.id {
+					continue
+				}
+				h := s.groups[pid]
+				s.eng.AtArg(now+b.Injected(k)+s.transit(g, h.tile), updateLand, h, int64(g.peerIdx)<<32|int64(qlen))
+				k++
+			}
 		}
 	}
 
@@ -694,6 +738,7 @@ func (s *Scheduler) phaseAdvance(g *group, w int, r *rpcproto.Request) bool {
 		s.probe.OnPhaseDone(r, g.workers[w].ID)
 	}
 	s.Stats.PhaseForwards++
+	g.release(w)
 	var delay sim.Time
 	if dst != g {
 		// Offload (transfer) cost is charged only when the phase

@@ -79,6 +79,11 @@ func TestValidate(t *testing.T) {
 		{Groups: 1, WorkersPerGroup: 1, Period: sim.Nanosecond},
 		{Groups: 1, WorkersPerGroup: 1, Period: sim.Nanosecond, Bulk: 1},
 	}
+	for _, depth := range []int{0, maxWorkerDepth + 1} {
+		p := good
+		p.WorkerDepth = depth
+		bad = append(bad, p)
+	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Fatalf("bad params %d validated", i)

@@ -136,13 +136,45 @@ func (n *NoC) Send(now sim.Time, src, dst, size int) (injectDone, arrive sim.Tim
 		start = b
 	}
 	n.busyUntil[src] = start + ser
+	injectDone = (start - now) + ser
+	arrive = injectDone + n.Transit(src, dst)
+	return injectDone, arrive
+}
+
+// Burst is the timing of messages booked back to back on one source
+// link at one instant (see Broadcast).
+type Burst struct {
+	Base sim.Time // from the booking instant until the link frees
+	Step sim.Time // one message's serialization
+}
+
+// Injected returns the delay from the booking instant until message k
+// (0-based, in booking order) has left the source.
+func (b Burst) Injected(k int) sim.Time { return b.Base + sim.Time(k+1)*b.Step }
+
+// Broadcast books count messages of size bytes injected back to back at
+// tile src at time now, in closed form: the link occupancy and every
+// message's timing equal count calls of Send at now, but the cost is
+// O(1). Message k arrives at its destination dst Injected(k) +
+// Transit(src, dst) after now. count must be at least 1.
+func (n *NoC) Broadcast(now sim.Time, src, count, size int) Burst {
+	ser := n.Serialization(size)
+	start := now
+	if b := n.busyUntil[src]; b > start {
+		start = b
+	}
+	n.busyUntil[src] = start + sim.Time(count)*ser
+	return Burst{Base: start - now, Step: ser}
+}
+
+// Transit returns the hop latency from src to dst, paid after a message
+// has left the source link.
+func (n *NoC) Transit(src, dst int) sim.Time {
 	hops := n.Mesh.Hops(src, dst)
 	if hops == 0 {
 		hops = 1 // local loopback still crosses the router once
 	}
-	injectDone = (start - now) + ser
-	arrive = injectDone + sim.Time(hops)*n.PerHop
-	return injectDone, arrive
+	return sim.Time(hops) * n.PerHop
 }
 
 // Delay returns the delivery latency for a message of size bytes injected

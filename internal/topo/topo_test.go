@@ -219,3 +219,43 @@ func TestNoCSendMatchesMapOccupancy(t *testing.T) {
 		}
 	}
 }
+
+// TestBroadcastMatchesSends holds the closed-form booking to the
+// per-message rule: from random instants, prior link occupancy and
+// message sizes, one Broadcast of n messages gives every message the
+// injection and arrival times of n back-to-back Sends at the same
+// instant, and leaves the link busy until the same time.
+func TestBroadcastMatchesSends(t *testing.T) {
+	m := NewMesh(1024)
+	rng := sim.NewRNG(5)
+	for _, count := range []int{1, 3, 63, 255} {
+		for trial := 0; trial < 50; trial++ {
+			closed, ref := NewNoC(m), NewNoC(m)
+			src, size := rng.Intn(m.Tiles()), rng.Intn(4096)
+			// A prior message holds the link for up to 100 ns, so the
+			// burst starts either at now or behind it.
+			prior := rng.Intn(6400)
+			closed.Send(0, src, src, prior)
+			ref.Send(0, src, src, prior)
+			now := sim.Time(rng.Intn(200)) * sim.Nanosecond / 2
+			dsts := make([]int, count)
+			for k := range dsts {
+				dsts[k] = rng.Intn(m.Tiles())
+			}
+			b := closed.Broadcast(now, src, count, size)
+			for k, dst := range dsts {
+				inject, arrive := ref.Send(now, src, dst, size)
+				if got := b.Injected(k); got != inject {
+					t.Fatalf("n=%d msg %d: Injected = %v, Send's injection %v", count, k, got, inject)
+				}
+				if got := b.Injected(k) + closed.Transit(src, dst); got != arrive {
+					t.Fatalf("n=%d msg %d: closed-form arrival %v, Send's %v", count, k, got, arrive)
+				}
+			}
+			if closed.busyUntil[src] != ref.busyUntil[src] {
+				t.Fatalf("n=%d: link busy until %v, %d Sends leave it busy until %v",
+					count, closed.busyUntil[src], count, ref.busyUntil[src])
+			}
+		}
+	}
+}
