@@ -92,6 +92,41 @@ func TestFig01Runs(t *testing.T) {
 	}
 }
 
+func TestHeavyExperimentsQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy experiment regeneration skipped in -short mode")
+	}
+	// Exercise the remaining experiments at quick scale; outputs are
+	// validated structurally (non-empty tables with the declared column
+	// counts). Scientific validation lives in EXPERIMENTS.md full runs.
+	for _, id := range []string{"fig03", "fig07", "fig09", "fig11", "fig12b", "validate", "isolation"} {
+		id := id
+		t.Run(id, func(t *testing.T) {
+			e, err := Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables, err := e.Run(ScaleQuick, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tables) == 0 {
+				t.Fatal("no tables")
+			}
+			for _, tb := range tables {
+				if len(tb.Rows) == 0 {
+					t.Fatalf("table %q empty", tb.Title)
+				}
+				for _, row := range tb.Rows {
+					if len(row) != len(tb.Cols) {
+						t.Fatalf("table %q row width %d != %d cols", tb.Title, len(row), len(tb.Cols))
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestExperimentsMatchQuickSuite renders the bare-scheduler experiments
 // (fig03, fig07, fig09, validate), the four MICA experiments, and the
 // ALTOCUMULUS runs that exercise the manager tick's consumers (ablate's
