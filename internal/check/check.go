@@ -49,21 +49,6 @@ func SetEnabled(on bool) { enabled = on }
 // Enabled reports the process-wide default.
 func Enabled() bool { return enabled }
 
-// QueueSpec describes one scheduler queue to the checker.
-type QueueSpec struct {
-	// ID is the probe queue id (see sched.Probe's id conventions).
-	ID int
-	// Core is the id of the core that exclusively drains this queue, or
-	// -1 for queues with no owning core (central queues, NetRX). At
-	// every checkpoint a non-empty owned queue with an idle owner is a
-	// work-conservation violation.
-	Core int
-	// Lens is this queue's index in Scheduler.QueueLensInto, or -1 when
-	// the snapshot does not expose it. Exposed queues are cross-checked
-	// against the shadow length at every checkpoint.
-	Lens int
-}
-
 // Options configures a Checker.
 type Options struct {
 	// Expected is the number of requests the run will deliver; Finalize
@@ -75,12 +60,15 @@ type Options struct {
 	// WorkConserving additionally asserts, at every checkpoint, that no
 	// owned core idles while ANY queue holds work (work stealing).
 	WorkConserving bool
-	// Every is the checkpoint period; default 20µs of simulated time.
-	Every sim.Time
-	// MaxViolations caps retained Violation records (default 16);
-	// further violations are only counted.
-	MaxViolations int
 }
+
+const (
+	// checkEvery is the checkpoint period in simulated time.
+	checkEvery = 20 * sim.Microsecond
+	// maxViolations caps the Violation records a checker retains;
+	// further violations are only counted.
+	maxViolations = 16
+)
 
 // Violation is one invariant failure, with enough context to debug it.
 type Violation struct {
@@ -181,13 +169,14 @@ func (q *shadowQ) popTail() (uint64, bool) {
 }
 
 // Checker implements sched.Probe over one run. Zero-value is unusable;
-// construct with New and wire with WrapDone + Attach.
+// construct with New and wire with WrapDone + Attach, or run under
+// RunOpenLoop, which does both.
 type Checker struct {
 	opt         Options
 	eng         *sim.Engine
 	lens        func(buf []int) []int
 	lensScratch []int // reused across checkpoints (violations copy fresh)
-	specs       []QueueSpec
+	specs       []sched.QueueSpec
 
 	queues   []*shadowQ // indexed by queue id; nil = undeclared
 	coreBusy []bool     // indexed by core id
@@ -211,12 +200,6 @@ type Checker struct {
 
 // New builds a checker.
 func New(opt Options) *Checker {
-	if opt.Every <= 0 {
-		opt.Every = 20 * sim.Microsecond
-	}
-	if opt.MaxViolations <= 0 {
-		opt.MaxViolations = 16
-	}
 	c := &Checker{opt: opt}
 	if opt.Expected > 0 {
 		c.state = make([]uint8, opt.Expected)
@@ -227,13 +210,21 @@ func New(opt Options) *Checker {
 	return c
 }
 
-// Attach binds the checker to a run: the engine (for timestamps and the
-// periodic checkpoint), the scheduler's queue topology, and its
-// QueueLensInto snapshot for cross-checking (the checker owns the
-// scratch buffer, so periodic checkpoints allocate nothing). Call once,
-// before the first delivery. The checkpoint cadence stops by itself once
-// the expected request count has completed, so event queues can drain.
-func (c *Checker) Attach(eng *sim.Engine, specs []QueueSpec, lens func(buf []int) []int) {
+// Attach binds the checker to a run of s on eng: it installs itself as
+// s's probe, shadows the queue topology s declares (QueueSpecs), and
+// cross-checks s's QueueLensInto snapshot at every checkpoint on eng's
+// clock (the checker owns the scratch buffer, so periodic checkpoints
+// allocate nothing). Call once, before the first delivery. The
+// checkpoint cadence stops by itself once the expected request count has
+// completed, so event queues can drain.
+func (c *Checker) Attach(eng *sim.Engine, s sched.Scheduler) {
+	s.SetProbe(c)
+	c.attach(eng, s.QueueSpecs(), s.QueueLensInto)
+}
+
+// attach binds the checker to eng and a queue topology with no
+// scheduler behind it; lens may be nil.
+func (c *Checker) attach(eng *sim.Engine, specs []sched.QueueSpec, lens func(buf []int) []int) {
 	c.eng = eng
 	c.specs = specs
 	c.lens = lens
@@ -252,7 +243,7 @@ func (c *Checker) Attach(eng *sim.Engine, specs []QueueSpec, lens func(buf []int
 			c.ensureCore(sp.Core)
 		}
 	}
-	eng.Every(c.opt.Every, c.checkpoint)
+	eng.Every(checkEvery, c.checkpoint)
 }
 
 // WrapDone interposes completion checking on a Done callback. Wire the
@@ -275,9 +266,9 @@ func (c *Checker) now() sim.Time {
 	return c.eng.Now()
 }
 
-// record captures a violation, keeping at most MaxViolations.
+// record captures a violation, keeping at most maxViolations.
 func (c *Checker) record(invariant string, reqID uint64, queue int, detail string) {
-	if len(c.violations) >= c.opt.MaxViolations {
+	if len(c.violations) >= maxViolations {
 		c.dropped++
 		return
 	}

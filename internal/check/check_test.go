@@ -30,7 +30,7 @@ func violationsOf(rep *Report, invariant string) []Violation {
 func scriptedChecker(opt Options) (*Checker, *sim.Engine) {
 	eng := sim.NewEngine()
 	c := New(opt)
-	c.Attach(eng, []QueueSpec{{ID: 0, Core: 0, Lens: 0}}, func([]int) []int { return []int{c.queues[0].len()} })
+	c.attach(eng, []sched.QueueSpec{{ID: 0, Core: 0, Lens: 0}}, func([]int) []int { return []int{c.queues[0].len()} })
 	return c, eng
 }
 
@@ -116,7 +116,7 @@ func TestMigrateOnce(t *testing.T) {
 	run := func(allow bool) *Report {
 		eng := sim.NewEngine()
 		c := New(Options{AllowRemigration: allow})
-		c.Attach(eng, []QueueSpec{{ID: 0, Core: -1, Lens: -1}, {ID: 1, Core: -1, Lens: -1}}, nil)
+		c.attach(eng, []sched.QueueSpec{{ID: 0, Core: -1, Lens: -1}, {ID: 1, Core: -1, Lens: -1}}, nil)
 		r := req(7)
 		c.OnEnqueue(r, 0, 0)
 		c.OnDequeue(r, 0, false)
@@ -224,21 +224,22 @@ func TestDoubleCompletion(t *testing.T) {
 }
 
 func TestViolationCapAndTotal(t *testing.T) {
-	c, _ := scriptedChecker(Options{MaxViolations: 2})
-	for i := 0; i < 5; i++ {
+	c, _ := scriptedChecker(Options{})
+	const raised = maxViolations + 3
+	for i := 0; i < raised; i++ {
 		c.OnOutstanding(req(uint64(i)), 0, 9, 1)
 	}
 	rep := c.Finalize()
-	if len(rep.Violations) != 2 || rep.Dropped != 3 || rep.Total() != 5 {
-		t.Fatalf("retained %d dropped %d total %d, want 2/3/5",
-			len(rep.Violations), rep.Dropped, rep.Total())
+	if len(rep.Violations) != maxViolations || rep.Dropped != 3 || rep.Total() != raised {
+		t.Fatalf("retained %d dropped %d total %d, want %d/3/%d",
+			len(rep.Violations), rep.Dropped, rep.Total(), maxViolations, raised)
 	}
 }
 
 func TestWorkConservationCheckpoint(t *testing.T) {
-	c, eng := scriptedChecker(Options{Every: sim.Microsecond})
+	c, eng := scriptedChecker(Options{})
 	c.OnEnqueue(req(0), 0, 0) // request sits queued while core 0 idles
-	eng.Run(3 * sim.Microsecond)
+	eng.Run(3 * checkEvery)
 	rep := c.Finalize()
 	if len(violationsOf(rep, "work-conservation")) == 0 {
 		t.Fatalf("idle core with queued work not flagged: %v", rep.Violations)
@@ -252,7 +253,7 @@ func TestCheckpointCadenceStops(t *testing.T) {
 	// Once the expected count completes, the checkpoint stops
 	// rescheduling itself so RunAll can drain. A hang here would make
 	// this test time out.
-	c, eng := scriptedChecker(Options{Every: sim.Microsecond, Expected: 1})
+	c, eng := scriptedChecker(Options{Expected: 1})
 	done := c.WrapDone(nil)
 	r := req(0)
 	eng.After(0, func() {
@@ -303,16 +304,10 @@ func TestJBSQBoundOffByOneCaught(t *testing.T) {
 		chk := New(Options{Expected: n})
 		done := chk.WrapDone(nil)
 		s := sched.NewJBSQ(eng, cores, sched.VariantRPCValet, bound, 0, 0, 0, 0, done)
+		chk.Attach(eng, s)
 		if seeded {
 			s.SetProbe(offByOneProbe{chk})
-		} else {
-			s.SetProbe(chk)
 		}
-		specs := []QueueSpec{{ID: 0, Core: -1, Lens: 0}}
-		for i := 0; i < cores; i++ {
-			specs = append(specs, QueueSpec{ID: 1 + i, Core: i, Lens: -1})
-		}
-		chk.Attach(eng, specs, s.QueueLensInto)
 
 		svc := dist.Exponential{M: sim.Microsecond}
 		rng := sim.NewRNG(11)

@@ -55,14 +55,12 @@ type DiffMetric struct {
 type DiffResult struct {
 	Case    DiffCase
 	Metrics []DiffMetric
-	Report  *Report // invariant report of the same run
+	Report  *Report // invariant report of the same run; nil with checking disabled
 }
 
-// Err returns nil when every metric passed and the run was clean.
+// Err returns nil when every metric passed. (A run with an invariant
+// violation never gets this far: RunDiff returns it as its error.)
 func (d *DiffResult) Err() error {
-	if err := d.Report.Err(); err != nil {
-		return fmt.Errorf("differential %s: %w", d.Case.Name, err)
-	}
 	for _, m := range d.Metrics {
 		if !m.OK {
 			return fmt.Errorf("differential %s: %s = %.6g, model %.6g (tol %.2g)",
@@ -99,14 +97,13 @@ func DefaultDiffCases(quick bool) []DiffCase {
 	}
 }
 
-// RunDiff executes one differential case with the invariant checker
-// attached and compares the measured sojourn statistics against the
-// queueing model.
+// RunDiff executes one differential case under RunOpenLoop, so the
+// invariant checker watches it, and compares the measured sojourn
+// statistics against the queueing model.
 func RunDiff(c DiffCase, seed uint64) (*DiffResult, error) {
 	if c.K < 1 || c.Rho <= 0 || c.Rho >= 1 || c.N <= c.Warmup {
 		return nil, fmt.Errorf("check: bad differential case %+v", c)
 	}
-	eng := sim.NewEngine()
 	root := sim.NewRNG(seed)
 	arrRNG := root.Fork(1)
 	svcRNG := root.Fork(2)
@@ -123,41 +120,25 @@ func RunDiff(c DiffCase, seed uint64) (*DiffResult, error) {
 		model = queueing.MMk{K: 1, Lambda: lambda / float64(c.K), Mu: mu}
 	}
 
-	chk := New(Options{Expected: c.N})
-	sojourn := make([]float64, 0, c.N-c.Warmup) // seconds, completion in ID order below
-	waited := make([]float64, 0, c.N-c.Warmup)  // 1.0 when the request queued
-	reqs := make([]*rpcproto.Request, c.N)      // filled at completion
-	done := chk.WrapDone(func(r *rpcproto.Request) { reqs[r.ID] = r })
-
-	var s sched.Scheduler
-	var specs []QueueSpec
-	if c.CFCFS {
-		s = sched.NewCentral(eng, c.K, 0, 0, 0, 0, done)
-		specs = []QueueSpec{{ID: 0, Core: -1, Lens: 0}}
-	} else {
-		st := nic.NewSteerer(nic.SteerRandom, c.K, steerRNG)
-		s = sched.NewDFCFS(eng, c.K, st, 0, done)
-		for i := 0; i < c.K; i++ {
-			specs = append(specs, QueueSpec{ID: i, Core: i, Lens: i})
-		}
-	}
-	s.SetProbe(chk)
-	chk.Attach(eng, specs, s.QueueLensInto)
-
-	sched.OpenLoop{
+	reqs := make([]*rpcproto.Request, c.N) // filled at completion
+	rep, err := RunOpenLoop(sched.OpenLoop{
 		Arrivals: dist.Poisson{Rate: lambda},
 		Service:  dist.Exponential{M: c.MeanSvc},
 		N:        c.N,
 		ArrRNG:   arrRNG,
 		SvcRNG:   svcRNG,
-	}.Start(eng, s)
-	eng.RunAll()
-
-	rep := chk.Finalize()
-	for _, r := range reqs[c.Warmup:] {
-		if r == nil {
-			return nil, fmt.Errorf("check: differential %s left request unfinished", c.Name)
+	}, func(r *rpcproto.Request) { reqs[r.ID] = r }, func(eng *sim.Engine, done sched.Done) (sched.Scheduler, error) {
+		if c.CFCFS {
+			return sched.NewCentral(eng, c.K, 0, 0, 0, 0, done), nil
 		}
+		return sched.NewDFCFS(eng, c.K, nic.NewSteerer(nic.SteerRandom, c.K, steerRNG), 0, done), nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("check: differential %s: %w", c.Name, err)
+	}
+	sojourn := make([]float64, 0, c.N-c.Warmup) // seconds, in ID order
+	waited := make([]float64, 0, c.N-c.Warmup)  // 1.0 when the request queued
+	for _, r := range reqs[c.Warmup:] {
 		sojourn = append(sojourn, (r.Finish - r.Arrival).Seconds())
 		w := 0.0
 		if r.Start > r.Arrival {

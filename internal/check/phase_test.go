@@ -122,7 +122,7 @@ func TestMigrateOncePerPhase(t *testing.T) {
 	attach := func() *Checker {
 		eng := sim.NewEngine()
 		c := New(Options{})
-		c.Attach(eng, []QueueSpec{{ID: 0, Core: -1, Lens: -1}, {ID: 1, Core: -1, Lens: -1}}, nil)
+		c.attach(eng, []sched.QueueSpec{{ID: 0, Core: -1, Lens: -1}, {ID: 1, Core: -1, Lens: -1}}, nil)
 		return c
 	}
 	// Legal: migrate in phase 0, advance, migrate again in phase 1.

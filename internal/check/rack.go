@@ -44,15 +44,10 @@ type RackOptions struct {
 	// staleness invariant). Zero disables the invariant but ages are
 	// still tracked for reporting.
 	StalenessBound sim.Time
-	// MaxViolations caps retained Violation records (default 16).
-	MaxViolations int
 }
 
 // NewRackChecker builds a checker for a rack of opts.Servers servers.
 func NewRackChecker(opts RackOptions) *RackChecker {
-	if opts.MaxViolations <= 0 {
-		opts.MaxViolations = 16
-	}
 	n := opts.Expected
 	if n < 0 {
 		n = 0
@@ -68,7 +63,7 @@ func NewRackChecker(opts RackOptions) *RackChecker {
 }
 
 func (rc *RackChecker) violate(v Violation) {
-	if len(rc.violations) < rc.opts.MaxViolations {
+	if len(rc.violations) < maxViolations {
 		rc.violations = append(rc.violations, v)
 	} else {
 		rc.dropped++

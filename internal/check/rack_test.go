@@ -113,12 +113,12 @@ func TestRackCheckerExpectedMismatchAndRange(t *testing.T) {
 }
 
 func TestRackCheckerViolationCap(t *testing.T) {
-	rc := NewRackChecker(RackOptions{Servers: 1, MaxViolations: 2})
-	for id := uint64(0); id < 5; id++ {
-		rc.OnComplete(id, 0, 0) // five undispatched completions
+	rc := NewRackChecker(RackOptions{Servers: 1})
+	for id := uint64(0); id < maxViolations+3; id++ {
+		rc.OnComplete(id, 0, 0) // undispatched completions, three past the cap
 	}
 	rep := rc.Finalize(0)
-	if len(rep.Violations) != 2 || rep.Dropped < 3 {
+	if len(rep.Violations) != maxViolations || rep.Dropped < 3 {
 		t.Fatalf("retained %d dropped %d", len(rep.Violations), rep.Dropped)
 	}
 	if rep.Total() != len(rep.Violations)+rep.Dropped {

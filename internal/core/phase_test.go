@@ -55,17 +55,7 @@ func runPhased(t *testing.T, forward ForwardPolicy, n int) (*Scheduler, *check.R
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetProbe(chk)
-	var specs []check.QueueSpec
-	for gid := 0; gid < 3; gid++ {
-		specs = append(specs, check.QueueSpec{ID: gid, Core: -1, Lens: gid})
-	}
-	for gid := 0; gid < 3; gid++ {
-		for w := 0; w < 2; w++ {
-			specs = append(specs, check.QueueSpec{ID: 3 + gid*2 + w, Core: gid*2 + w, Lens: -1})
-		}
-	}
-	chk.Attach(eng, specs, s.QueueLensInto)
+	chk.Attach(eng, s)
 	for i := 0; i < n; i++ {
 		i := i
 		eng.At(sim.Time(i)*50*sim.Nanosecond, func() {

@@ -319,6 +319,21 @@ func (s *Scheduler) QueueLensInto(buf []int) []int {
 	return buf
 }
 
+// QueueSpecs implements sched.Scheduler: group g's NetRX is queue g and
+// QueueLensInto entry g; worker (g, w)'s core owns queue localQueueID(g, w).
+func (s *Scheduler) QueueSpecs() []sched.QueueSpec {
+	specs := make([]sched.QueueSpec, 0, s.P.Groups*(1+s.P.WorkersPerGroup))
+	for _, g := range s.groups {
+		specs = append(specs, sched.QueueSpec{ID: g.id, Core: -1, Lens: g.id})
+	}
+	for _, g := range s.groups {
+		for w, c := range g.workers {
+			specs = append(specs, sched.QueueSpec{ID: s.localQueueID(g.id, w), Core: c.ID, Lens: -1})
+		}
+	}
+	return specs
+}
+
 // Cores returns every worker core (managers excluded: they do not serve
 // RPCs) for utilisation reporting.
 func (s *Scheduler) Cores() []*exec.Core {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/check"
 	"repro/internal/dist"
 	"repro/internal/fleet"
 	"repro/internal/report"
@@ -99,13 +100,15 @@ func runCFCFS(cores int, overhead sim.Time, svc dist.ServiceDist, load float64, 
 	// meaningful by measuring against the bare service time as the paper
 	// does (their "offered load" axis).
 	lat := stats.NewSample(n)
-	err := runCentral(cores, overhead, sched.OpenLoop{
+	_, err := check.RunOpenLoop(sched.OpenLoop{
 		Arrivals: dist.Poisson{Rate: dist.LoadForRate(load, cores, svc)},
 		Service:  svc,
 		N:        n,
 		ArrRNG:   sim.NewRNG(seed),
 		SvcRNG:   sim.NewRNG(seed + 1),
-	}, nil, func(r *rpcproto.Request) { lat.Add(r.Latency()) })
+	}, func(r *rpcproto.Request) { lat.Add(r.Latency()) }, func(eng *sim.Engine, done sched.Done) (sched.Scheduler, error) {
+		return sched.NewCentral(eng, cores, 0, overhead, 0, 0, done), nil
+	})
 	if err != nil {
 		return 0, fmt.Errorf("fig03: %w", err)
 	}

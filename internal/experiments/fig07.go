@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/check"
 	"repro/internal/dist"
 	"repro/internal/fleet"
 	"repro/internal/policy"
@@ -146,15 +147,12 @@ func fig07Measure(cores int, svc dist.ServiceDist, load, l float64, n int, seed 
 	hist.viol = make([]int, hist.buckets)
 	seen := &arrivalQlen{at: make([]int, n)}
 	firstViolationT := -1
-	err := runCentral(cores, 0, sched.OpenLoop{
+	_, err := check.RunOpenLoop(sched.OpenLoop{
 		Arrivals: dist.Poisson{Rate: dist.LoadForRate(load, cores, svc)},
 		Service:  svc,
 		N:        n,
 		ArrRNG:   sim.NewRNG(seed),
 		SvcRNG:   sim.NewRNG(seed + 7),
-	}, func(s sched.Scheduler) sched.Scheduler {
-		seen.Scheduler = s
-		return seen
 	}, func(r *rpcproto.Request) {
 		q := seen.at[r.ID]
 		b := q / hist.width
@@ -168,6 +166,9 @@ func fig07Measure(cores int, svc dist.ServiceDist, load, l float64, n int, seed 
 				firstViolationT = q
 			}
 		}
+	}, func(eng *sim.Engine, done sched.Done) (sched.Scheduler, error) {
+		seen.Scheduler = sched.NewCentral(eng, cores, 0, 0, 0, 0, done)
+		return seen, nil
 	})
 	if err != nil {
 		return 0, nil, fmt.Errorf("fig07: %w", err)

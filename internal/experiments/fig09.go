@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/fabric"
@@ -58,50 +59,47 @@ func runFig09(scale Scale, seed uint64) ([]report.Table, error) {
 	return []report.Table{t}, nil
 }
 
+// fig09Snapshot runs the workload to its last completion under the
+// invariant checker and returns the NetRX lengths the 10th SLO-violating
+// completion saw.
 func fig09Snapshot(pol nic.SteerPolicy, n int, seed uint64) ([]int, error) {
-	eng := sim.NewEngine()
 	p := core.DefaultParams(4, 63)
 	p.DisableMigration = true
 	// Only the queue-length marking matters here; a long period keeps the
 	// idle tick load negligible.
 	p.Period = 10 * sim.Microsecond
 	root := sim.NewRNG(seed)
-	steer := nic.NewSteerer(pol, 4, root.Fork(3))
+	steerRNG := root.Fork(3)
 	svc := dist.Exponential{M: sim.Microsecond}
 	slo := sim.Time(10 * float64(svc.Mean()))
 
-	var snapshot []int
-	violations, nDone := 0, 0
 	var s *core.Scheduler
-	done := func(r *rpcproto.Request) {
-		nDone++
-		if r.Latency() > slo {
-			violations++
-			if violations == 10 && snapshot == nil {
-				snapshot = s.QueueLensInto(nil)
-			}
-		}
-	}
-	s, err := core.New(eng, p, fabric.Default(), steer, done)
-	if err != nil {
-		return nil, err
-	}
-
-	sched.OpenLoop{
+	var snapshot []int
+	violations := 0
+	_, err := check.RunOpenLoop(sched.OpenLoop{
 		Arrivals: dist.Poisson{Rate: dist.LoadForRate(0.995, 4*63, svc)},
 		Service:  svc,
 		N:        n,
 		Conns:    64,
 		ArrRNG:   root.Fork(1),
 		SvcRNG:   root.Fork(2),
-	}.Start(eng, s)
-	for snapshot == nil && nDone < n {
-		eng.Run(eng.Now() + sim.Millisecond)
+	}, func(r *rpcproto.Request) {
+		if r.Latency() > slo {
+			if violations++; violations == 10 {
+				snapshot = s.QueueLensInto(nil)
+			}
+		}
+	}, func(eng *sim.Engine, done sched.Done) (sched.Scheduler, error) {
+		var err error
+		s, err = core.New(eng, p, fabric.Default(), nic.NewSteerer(pol, 4, steerRNG), done)
+		return s, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	s.Stop()
 	if snapshot == nil {
-		// Fewer than 10 violations in the whole run: report the final
-		// queue state instead (still shows the policy's skew).
+		// Fewer than 10 violations in the whole run: report the drained
+		// queues instead.
 		snapshot = s.QueueLensInto(nil)
 	}
 	return snapshot, nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/check"
 	"repro/internal/dist"
 	"repro/internal/queueing"
 	"repro/internal/report"
@@ -101,13 +102,13 @@ func simulateFCFS(k int, svc dist.ServiceDist, load float64, n int, seed uint64)
 	warm := n / 5
 	var waitSum int64
 	waited, measured := 0, 0
-	err = runCentral(k, 0, sched.OpenLoop{
+	_, err = check.RunOpenLoop(sched.OpenLoop{
 		Arrivals: dist.Poisson{Rate: dist.LoadForRate(load, k, svc)},
 		Service:  svc,
 		N:        n,
 		ArrRNG:   sim.NewRNG(seed),
 		SvcRNG:   sim.NewRNG(seed + 1),
-	}, nil, func(r *rpcproto.Request) {
+	}, func(r *rpcproto.Request) {
 		if int(r.ID) < warm {
 			return
 		}
@@ -117,6 +118,8 @@ func simulateFCFS(k int, svc dist.ServiceDist, load float64, n int, seed uint64)
 		if wait > 0 {
 			waited++
 		}
+	}, func(eng *sim.Engine, done sched.Done) (sched.Scheduler, error) {
+		return sched.NewCentral(eng, k, 0, 0, 0, 0, done), nil
 	})
 	if err != nil {
 		return 0, 0, fmt.Errorf("validate: %w", err)

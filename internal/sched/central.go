@@ -160,6 +160,12 @@ func (s *Central) QueueLensInto(buf []int) []int {
 	return append(buf[:0], s.queue.Len()) //altolint:allow hotalloc scratch reuse: buf grows to one element once, then steady-state zero-alloc
 }
 
+// QueueSpecs implements Scheduler: queue 0 is the central queue, which
+// may hold work while workers idle as long as dispatches are in flight.
+func (s *Central) QueueSpecs() []QueueSpec {
+	return []QueueSpec{{ID: 0, Core: -1, Lens: 0}}
+}
+
 // Cores exposes the worker array for utilisation reporting (the
 // dispatcher core is additional and always busy polling).
 func (s *Central) Cores() []*exec.Core { return s.workers }

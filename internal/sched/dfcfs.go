@@ -97,6 +97,9 @@ func (s *DFCFS) QueueLensInto(buf []int) []int {
 	return buf
 }
 
+// QueueSpecs implements Scheduler: queue i is core i's private queue.
+func (s *DFCFS) QueueSpecs() []QueueSpec { return perCoreSpecs(len(s.queues)) }
+
 // Cores exposes the core array for utilisation reporting.
 func (s *DFCFS) Cores() []*exec.Core { return s.cores }
 

@@ -239,6 +239,18 @@ func (s *JBSQ) QueueLensInto(buf []int) []int {
 	return append(buf, s.pending...)       //altolint:allow hotalloc scratch reuse: buf grows to 1+cores once, then steady-state zero-alloc
 }
 
+// QueueSpecs implements Scheduler: queue 0 is the central NIC queue and
+// queue 1+i core i's bounded local queue, whose length QueueLensInto
+// does not report (it reports outstanding counts).
+func (s *JBSQ) QueueSpecs() []QueueSpec {
+	specs := make([]QueueSpec, 1+len(s.local))
+	specs[0] = QueueSpec{ID: 0, Core: -1, Lens: 0}
+	for i := range s.local {
+		specs[1+i] = QueueSpec{ID: 1 + i, Core: i, Lens: -1}
+	}
+	return specs
+}
+
 // Cores exposes the core array for utilisation reporting.
 func (s *JBSQ) Cores() []*exec.Core { return s.cores }
 

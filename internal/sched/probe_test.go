@@ -66,5 +66,14 @@ func TestObserversSeeEnqueues(t *testing.T) {
 		if len(probe.events) != 10 {
 			t.Fatalf("%s: probe saw %d enqueues", s.Name(), len(probe.events))
 		}
+		declared := map[int]bool{}
+		for _, sp := range s.QueueSpecs() {
+			declared[sp.ID] = true
+		}
+		for _, q := range probe.queues {
+			if !declared[q] {
+				t.Fatalf("%s: enqueue on queue %d, not in QueueSpecs %v", s.Name(), q, s.QueueSpecs())
+			}
+		}
 	}
 }

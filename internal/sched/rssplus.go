@@ -197,6 +197,9 @@ func (s *RSSPlus) QueueLensInto(buf []int) []int {
 	return buf
 }
 
+// QueueSpecs implements Scheduler: queue i is core i's private queue.
+func (s *RSSPlus) QueueSpecs() []QueueSpec { return perCoreSpecs(len(s.queues)) }
+
 // Cores exposes the core array for utilisation reporting.
 func (s *RSSPlus) Cores() []*exec.Core { return s.cores }
 

@@ -36,6 +36,34 @@ type Scheduler interface {
 	QueueLensInto(buf []int) []int
 	// SetProbe installs instrumentation; nil switches it off.
 	SetProbe(p Probe)
+	// QueueSpecs declares the scheduler's queue topology: every queue id
+	// its probe events name, in ascending id order, with the core that
+	// drains each queue and its index in QueueLensInto. The ids are fixed
+	// per instance; each call returns a fresh slice.
+	QueueSpecs() []QueueSpec
+}
+
+// QueueSpec describes one scheduler queue to a probe.
+type QueueSpec struct {
+	// ID is the queue's probe id.
+	ID int
+	// Core is the id of the core that exclusively drains this queue, or
+	// -1 for queues with no owning core (central queues, NetRX). A
+	// non-empty owned queue whose owner idles breaks work conservation.
+	Core int
+	// Lens is this queue's index in QueueLensInto, or -1 when the
+	// snapshot does not expose its length.
+	Lens int
+}
+
+// perCoreSpecs is the topology of n private per-core queues: queue i is
+// core i's, and QueueLensInto reports it at index i.
+func perCoreSpecs(n int) []QueueSpec {
+	specs := make([]QueueSpec, n)
+	for i := range specs {
+		specs[i] = QueueSpec{ID: i, Core: i, Lens: i}
+	}
+	return specs
 }
 
 // Done is invoked exactly once per request at completion time, with
@@ -86,15 +114,8 @@ func (c RequeueCause) String() string {
 // guards every hook with a nil check, so an unprobed run pays one
 // predictable branch per event.
 //
-// Queue ids are scheduler-specific but fixed per instance:
-//
-//   - DFCFS / Steal / RSSPlus: queue i is core i's private queue.
-//   - Central: queue 0 is the single central queue (no owning core).
-//   - JBSQ: queue 0 is the central NIC queue; queue 1+i is core i's
-//     bounded local queue.
-//   - ALTOCUMULUS (internal/core): queue g is group g's NetRX; queue
-//     G + g*W + w is worker (g, w)'s local queue, whose core id is
-//     g*W + w.
+// Queue ids are scheduler-specific but fixed per instance; each
+// scheduler declares its own in QueueSpecs.
 type Probe interface {
 	// OnEnqueue fires when r joins queue q whose length (excluding r)
 	// was qlen: its first enqueue, at delivery.

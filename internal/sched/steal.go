@@ -151,6 +151,9 @@ func (s *Steal) QueueLensInto(buf []int) []int {
 	return buf
 }
 
+// QueueSpecs implements Scheduler: queue i is core i's private queue.
+func (s *Steal) QueueSpecs() []QueueSpec { return perCoreSpecs(len(s.queues)) }
+
 // Cores exposes the core array for utilisation reporting.
 func (s *Steal) Cores() []*exec.Core { return s.cores }
 

@@ -457,8 +457,7 @@ func run(sc *Scratch, rc *RackConfig, cfg Config, wl Workload) (*RackResult, err
 			return nil, err
 		}
 		if chk != nil {
-			sch.SetProbe(chk)
-			chk.Attach(eng, checkSpecs(cfg), sch.QueueLensInto)
+			chk.Attach(eng, sch)
 		}
 		g.servers[s] = server{sched: sch, rx: rx, chk: chk, pricedSize: -1}
 	}
@@ -491,8 +490,8 @@ func run(sc *Scratch, rc *RackConfig, cfg Config, wl Workload) (*RackResult, err
 		})
 	}
 
-	if err := runToLastDone(eng, res.Name, wl.N, &g.nDone); err != nil {
-		return nil, err
+	if err := check.RunToLastDone(eng, res.Name, wl.N, &g.nDone); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	res.Events = eng.Processed()
 	if g.arenaErr != nil {
@@ -553,67 +552,6 @@ func run(sc *Scratch, rc *RackConfig, cfg Config, wl Workload) (*RackResult, err
 		res.DoneRPS = float64(wl.N) / res.Duration.Seconds()
 	}
 	return rr, nil
-}
-
-// hardCap bounds a run's simulated time: a scheduler that is still
-// making events but not progress by then is reported, not waited on.
-const hardCap = 100 * sim.Second
-
-// runToLastDone runs the engine until the done callback of the n-th
-// completion stops it. The periodic machinery (manager ticks, rebalance
-// timers, checker checkpoints) never lets the queue drain on its own, so
-// the run ends at the last completion instead: no event after it can
-// change a request record. A queue that empties first means requests
-// were lost; a clock that reaches hardCap means they are stuck behind
-// machinery that still ticks.
-func runToLastDone(eng *sim.Engine, name string, n int, nDone *int) error {
-	eng.Run(hardCap)
-	switch {
-	case *nDone >= n:
-		return nil
-	case eng.Pending() == 0:
-		return fmt.Errorf("server: %s stalled: queue empty with %d requests outstanding (done %d of %d)",
-			name, n-*nDone, *nDone, n)
-	default:
-		return fmt.Errorf("server: %s did not finish %d requests within %v (done %d)",
-			name, n, hardCap, *nDone)
-	}
-}
-
-// checkSpecs maps a config's scheduler onto the checker's queue
-// topology, following the probe id conventions documented on
-// sched.Probe.
-func checkSpecs(cfg Config) []check.QueueSpec {
-	var specs []check.QueueSpec
-	switch cfg.Kind {
-	case SchedRSS, SchedIX, SchedZygOS, SchedRSSPlus:
-		for i := 0; i < cfg.Cores; i++ {
-			specs = append(specs, check.QueueSpec{ID: i, Core: i, Lens: i})
-		}
-	case SchedShinjuku:
-		// The central queue has no owning core: a non-empty queue with
-		// idle workers is legal while dispatches are in flight.
-		specs = []check.QueueSpec{{ID: 0, Core: -1, Lens: 0}}
-	case SchedRPCValet, SchedNebula, SchedNanoPU:
-		// QueueLensInto exposes per-core outstanding counts (not local
-		// queue lengths) after the central length, so only index 0
-		// cross-checks.
-		specs = append(specs, check.QueueSpec{ID: 0, Core: -1, Lens: 0})
-		for i := 0; i < cfg.Cores; i++ {
-			specs = append(specs, check.QueueSpec{ID: 1 + i, Core: i, Lens: -1})
-		}
-	case SchedAltocumulus:
-		g, w := cfg.AC.Groups, cfg.AC.WorkersPerGroup
-		for gid := 0; gid < g; gid++ {
-			specs = append(specs, check.QueueSpec{ID: gid, Core: -1, Lens: gid})
-		}
-		for gid := 0; gid < g; gid++ {
-			for wi := 0; wi < w; wi++ {
-				specs = append(specs, check.QueueSpec{ID: g + gid*w + wi, Core: gid*w + wi, Lens: -1})
-			}
-		}
-	}
-	return specs
 }
 
 // build constructs the scheduler and NIC receive model for a config.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/nic"
@@ -148,7 +149,7 @@ func TestRunToLastDoneOutcomes(t *testing.T) {
 		nDone := 0
 		eng.Every(sim.Microsecond, func() bool { return true })
 		eng.At(3*sim.Microsecond+sim.Nanosecond, func() { nDone = 2; eng.Stop() })
-		if err := runToLastDone(eng, "test", 2, &nDone); err != nil {
+		if err := check.RunToLastDone(eng, "test", 2, &nDone); err != nil {
 			t.Fatal(err)
 		}
 		if eng.Now() != 3*sim.Microsecond+sim.Nanosecond {
@@ -159,7 +160,7 @@ func TestRunToLastDoneOutcomes(t *testing.T) {
 		eng := sim.NewEngine()
 		nDone := 0
 		eng.At(sim.Microsecond, func() { nDone++ })
-		err := runToLastDone(eng, "test", 3, &nDone)
+		err := check.RunToLastDone(eng, "test", 3, &nDone)
 		if err == nil || !strings.Contains(err.Error(), "stalled: queue empty with 2 requests outstanding") {
 			t.Fatalf("drained queue with 2 of 3 outstanding: err = %v", err)
 		}
@@ -168,7 +169,7 @@ func TestRunToLastDoneOutcomes(t *testing.T) {
 		eng := sim.NewEngine()
 		nDone := 0
 		eng.Every(sim.Second, func() bool { return true })
-		err := runToLastDone(eng, "test", 1, &nDone)
+		err := check.RunToLastDone(eng, "test", 1, &nDone)
 		if err == nil || !strings.Contains(err.Error(), "did not finish 1 requests within") {
 			t.Fatalf("ticking engine with nothing done: err = %v", err)
 		}

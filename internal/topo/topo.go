@@ -177,12 +177,5 @@ func (n *NoC) Transit(src, dst int) sim.Time {
 	return sim.Time(hops) * n.PerHop
 }
 
-// Delay returns the delivery latency for a message of size bytes injected
-// at tile src at time now, destined for dst. See Send.
-func (n *NoC) Delay(now sim.Time, src, dst, size int) sim.Time {
-	_, arrive := n.Send(now, src, dst, size)
-	return arrive
-}
-
 // Reset clears link occupancy (between runs).
 func (n *NoC) Reset() { clear(n.busyUntil) }

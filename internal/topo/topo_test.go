@@ -122,13 +122,13 @@ func TestNoCDelayBasics(t *testing.T) {
 	m := NewMesh(16)
 	n := NewNoC(m)
 	// 0 -> 15 is 6 hops: 18 ns plus serialization of 14 bytes (<1 ns).
-	d := n.Delay(0, 0, 15, 14)
+	_, d := n.Send(0, 0, 15, 14)
 	if d < 18*sim.Nanosecond || d > 19*sim.Nanosecond {
 		t.Fatalf("delay = %v, want ~18ns", d)
 	}
 	// Local delivery still crosses a router once.
 	n.Reset()
-	if got := n.Delay(0, 3, 3, 0); got != 3*sim.Nanosecond {
+	if _, got := n.Send(0, 3, 3, 0); got != 3*sim.Nanosecond {
 		t.Fatalf("loopback = %v", got)
 	}
 }
@@ -139,8 +139,8 @@ func TestNoCSourceContention(t *testing.T) {
 	// Two large back-to-back messages from the same tile: the second
 	// waits for the first's serialization.
 	size := 6400 // 100 ns at 64 B/ns
-	d1 := n.Delay(0, 0, 1, size)
-	d2 := n.Delay(0, 0, 2, size)
+	_, d1 := n.Send(0, 0, 1, size)
+	_, d2 := n.Send(0, 0, 2, size)
 	if d2 <= d1 {
 		t.Fatalf("no serialization backpressure: d1=%v d2=%v", d1, d2)
 	}
@@ -149,7 +149,7 @@ func TestNoCSourceContention(t *testing.T) {
 	}
 	// After Reset, occupancy clears.
 	n.Reset()
-	if got := n.Delay(0, 0, 1, size); got != d1 {
+	if _, got := n.Send(0, 0, 1, size); got != d1 {
 		t.Fatalf("reset did not clear occupancy: %v != %v", got, d1)
 	}
 }
@@ -171,8 +171,8 @@ func TestNoCSerialization(t *testing.T) {
 // TestNoCSendMatchesMapOccupancy replays a random message stream — every
 // tile of a 1024-core mesh as a source, bursts and idle gaps — against
 // the per-source occupancy rule written out over a map, the NoC's
-// original backing: Send and Delay must agree to the picosecond, before
-// and after an in-place Reset.
+// original backing: Send must agree to the picosecond, before and after
+// an in-place Reset.
 func TestNoCSendMatchesMapOccupancy(t *testing.T) {
 	m := NewMesh(1024)
 	n := NewNoC(m)
@@ -206,12 +206,6 @@ func TestNoCSendMatchesMapOccupancy(t *testing.T) {
 			src = m.Tiles() - 1 - rng.Intn(4) // a few hot sources, last tile included
 		}
 		wantInject, wantArrive := ref(now, src, dst, size)
-		if i%3 == 0 {
-			if got := n.Delay(now, src, dst, size); got != wantArrive {
-				t.Fatalf("msg %d: Delay(%v, %d, %d, %d) = %v, want %v", i, now, src, dst, size, got, wantArrive)
-			}
-			continue
-		}
 		inject, arrive := n.Send(now, src, dst, size)
 		if inject != wantInject || arrive != wantArrive {
 			t.Fatalf("msg %d: Send(%v, %d, %d, %d) = %v, %v, want %v, %v",

@@ -43,12 +43,9 @@
 #                      the timer-wheel engine at scale stays visible
 #  10. altobench smoke every registered experiment regenerates at quick
 #                      scale with the online invariant checker attached
-#                      to its runs — all but fig09, which drives a bare
-#                      core.Scheduler whose queue topology lives in
-#                      server's unexported checkSpecs — (runs through
-#                      the cross-run fleet at GOMAXPROCS width, so this
-#                      is fast on CI runners), and the output must match
-#                      the committed
+#                      to every run (runs through the cross-run fleet at
+#                      GOMAXPROCS width, so this is fast on CI runners),
+#                      and the output must match the committed
 #                      internal/experiments/testdata/quick_seed1.txt
 #  11. alloc guard     a quick run of the zero-alloc benchmarks compared
 #                      against the committed BENCH_sim.json; any hot
